@@ -8,18 +8,17 @@ engine's rounds/sec regressed by more than the allowed fraction.
 Raw rounds/sec are only comparable between runs on the same machine, and CI
 runners are not the machine the baseline was committed from.  The default
 mode therefore *normalizes* each report's engine rounds/sec by its own
-legacy rounds/sec -- the engine/legacy speedup -- which cancels the hardware
-factor and regresses only when the engine got slower *relative to the same
-code's legacy path*.  Pass ``--absolute`` for raw rounds/sec comparisons
-between runs on one machine.
+reference-lane rounds/sec -- the engine/reference speedup -- which cancels
+the hardware factor and regresses only when the engine got slower *relative
+to the same code's reference lane*.  Pass ``--absolute`` for raw rounds/sec
+comparisons between runs on one machine.
 
-The PR-2 ``batched`` engine, the PR-3 ``vector`` engine, and the PR-6
-``kernel`` lanes (``kernel`` = FULL traces, ``kernel_counters`` = the
-counters-only lane) are gated by default (``--engines``).  A report that
-lacks an engine's column or the requested network size -- e.g. a baseline
-committed before that engine existed -- is *skipped* for that engine with a
-warning instead of failing with a ``KeyError``, so the gate stays usable
-across baseline generations.
+The kernel lane's two columns (``kernel`` = FULL traces,
+``kernel_counters`` = the counters-only loop) are gated by default
+(``--engines``).  A report that lacks an engine's column or the requested
+network size -- e.g. a baseline committed before that column existed -- is
+*skipped* for that engine with a warning instead of failing with a
+``KeyError``, so the gate stays usable across baseline generations.
 
 The PR-7 suite-throughput report (``bench_suite_throughput.py`` writing
 ``BENCH_suite.json``) is gated separately via ``--suite-fresh``: its headline
@@ -70,10 +69,10 @@ def _metric(row: dict, engine: str, absolute: bool):
     if engine_rps is None:
         return None, f"lacks the '{engine}_rps' column"
     if not absolute:
-        legacy_rps = row.get("legacy_rps")
-        if not legacy_rps:
-            return None, "lacks a usable 'legacy_rps' denominator"
-        return engine_rps / legacy_rps, None
+        reference_rps = row.get("reference_rps")
+        if not reference_rps:
+            return None, "lacks a usable 'reference_rps' denominator"
+        return engine_rps / reference_rps, None
     return engine_rps, None
 
 
@@ -86,7 +85,7 @@ def check_engine(
     absolute: bool,
 ) -> Optional[bool]:
     """Gate one engine; True=pass, False=fail, None=skipped (data missing)."""
-    unit = "rounds/sec" if absolute else f"{engine}/legacy speedup"
+    unit = "rounds/sec" if absolute else f"{engine}/reference speedup"
     for name, report in (("baseline", baseline), ("fresh", fresh)):
         if _row_for(report, at_n) is None:
             sizes = [r.get("n") for r in report.get("workloads", [])]
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engines",
-        default="batched,vector,kernel,kernel_counters",
+        default="kernel,kernel_counters",
         help="comma-separated engine names to gate (each needs an <engine>_rps "
         "column; engines missing from either report are skipped with a warning)",
     )
@@ -246,7 +245,7 @@ def main(argv=None) -> int:
         "--absolute",
         action="store_true",
         help="compare raw rounds/sec (same-machine runs only) instead of the "
-        "hardware-independent engine/legacy speedup",
+        "hardware-independent engine/reference speedup",
     )
     parser.add_argument(
         "--suite-fresh",

@@ -32,8 +32,8 @@ This module packages those observations as the batch group driver protocol of
 The invariant every method here preserves: for a fixed seed, the batched
 execution performs exactly the same private RNG draws, emits exactly the same
 events, and produces exactly the same per-round frames as per-process
-stepping -- the regression tests in ``tests/test_fast_engine.py`` pin this
-against both the generic and the PR-1 fast resolution paths.
+stepping -- the lane-identity matrix in ``tests/test_fast_engine.py`` pins
+this against the engine's reference lane.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from repro.core.local_broadcast import (
 from repro.core.params import LBParams, SeedParams, _election_probability_table
 from repro.core.seed_agreement import STATUS_ACTIVE, STATUS_LEADER, SeedFrame
 from repro.core.seedbits import SeedBitStream
+from repro.fifo import fifo_insert
 
 Vertex = Hashable
 
@@ -58,7 +59,7 @@ Vertex = Hashable
 #: pure function of its seed and kappa, so equal keys decode to equal
 #: buffers -- repeated workloads (benchmark repeats, suite trials sharing a
 #: master seed) skip the pool parse entirely.  Bounded FIFO like the
-#: scheduler delta cache: inserts past the cap evict the oldest entry.
+#: scheduler delta cache (:func:`~repro.fifo.fifo_insert`).
 _DECODE_CACHE: Dict[tuple, tuple] = {}
 _DECODE_CACHE_MAXSIZE = 4096
 
@@ -250,9 +251,7 @@ class _SeedCohort:
         self.bs = bs
         self.cum = cum
         self.active = active
-        if len(_DECODE_CACHE) >= _DECODE_CACHE_MAXSIZE:
-            del _DECODE_CACHE[next(iter(_DECODE_CACHE))]
-        _DECODE_CACHE[key] = (flags, bs, cum, active)
+        fifo_insert(_DECODE_CACHE, key, (flags, bs, cum, active), _DECODE_CACHE_MAXSIZE)
 
 
 class SeedAgreementCohort:
@@ -362,6 +361,14 @@ class LocalBroadcastBatchDriver:
     work (state transitions, subroutine creation, stream setup) reuses the
     members' own methods, so the driver cannot drift from the per-process
     semantics there.
+
+    Body rounds group the senders into ``(seed, cursor)`` cohorts once per
+    body, bulk-decode each cohort's shared decisions into flat array
+    buffers, and defer member stream advancement and statistics to one bulk
+    flush per cohort (:meth:`flush_kernel_state`, which the engine also
+    calls at every run boundary).  Traces, private RNG draw order, member
+    statistics and the tracker's computed/shared counters all stay
+    byte-identical to per-process stepping.
     """
 
     __slots__ = (
@@ -372,7 +379,6 @@ class LocalBroadcastBatchDriver:
         "_tracker",
         "_cohort",
         "_senders",
-        "_kernel",
         "_cohorts",
         "_decoded",
         "_tracked",
@@ -388,9 +394,8 @@ class LocalBroadcastBatchDriver:
         self._tracker = SeedGroupTracker(params)
         self._cohort: Optional[SeedAgreementCohort] = None
         self._senders: List[LocalBroadcastProcess] = []
-        # Kernel lane state (see enable_kernel): seed cohorts grouped at body
-        # start, flushed at phase ends and run boundaries.
-        self._kernel = False
+        # Body-round state: seed cohorts grouped at body start, flushed at
+        # phase ends and run boundaries (see flush_kernel_state).
         self._cohorts: Optional[List[_SeedCohort]] = None
         self._decoded: List[_SeedCohort] = []
         self._tracked: List[_SeedCohort] = []
@@ -413,21 +418,6 @@ class LocalBroadcastBatchDriver:
         """The cohort's shared-decision tracker (exposed for experiments)."""
         return self._tracker
 
-    def enable_kernel(self) -> bool:
-        """Switch body rounds to the array-kernel lane (engine-facing opt-in).
-
-        The kernel lane groups the body's senders into ``(seed, cursor)``
-        cohorts once per body, bulk-decodes each cohort's shared decisions
-        into flat array buffers, and defers member stream advancement and
-        statistics to a single bulk flush per cohort -- instead of a
-        per-member tracker call every round.  Traces, private RNG draw order,
-        member statistics, and the tracker's computed/shared counters all
-        stay byte-identical to the unkerneled batched path.  Returns True to
-        acknowledge support (the engine duck-types this method).
-        """
-        self._kernel = True
-        return True
-
     # ------------------------------------------------------------------
     # round stepping (engine-facing)
     # ------------------------------------------------------------------
@@ -447,12 +437,9 @@ class LocalBroadcastBatchDriver:
 
         if body_start:
             self._begin_body_all()
-        if self._kernel:
-            # Rounds left in this body (including the current one) bound the
-            # bulk decode when cohorts are (re)built this round.
-            self._body_transmit_kernel(out, params.phase_length - index)
-        else:
-            self._body_transmit(out)
+        # Rounds left in this body (including the current one) bound the
+        # bulk decode when cohorts are (re)built this round.
+        self._body_transmit_kernel(out, params.phase_length - index)
 
     def receive_round(
         self, round_number: int, receptions: Dict[Vertex, Any]
@@ -570,33 +557,6 @@ class LocalBroadcastBatchDriver:
     # ------------------------------------------------------------------
     # body rounds (the hot path)
     # ------------------------------------------------------------------
-    def _body_transmit(self, out: Dict[Vertex, Any]) -> None:
-        tracker = self._tracker
-        tracker.begin_round()
-        decision_for = tracker.decision_for
-        for member in self._senders:
-            member.stats_body_rounds_sending += 1
-            stream = member._seed_stream
-            participant, b, _ = decision_for(stream)
-            cursor = stream._cursor
-            if cursor > member.stats_max_bits_consumed:
-                member.stats_max_bits_consumed = cursor
-            if not participant:
-                continue
-            member.stats_participant_rounds += 1
-            # b private coins, broadcast iff all zero -- drawn exactly as the
-            # per-process path draws them (short-circuit on the first one).
-            rand = member.ctx.rng.random
-            for _ in range(b):
-                if rand() >= 0.5:
-                    break
-            else:
-                member.stats_broadcast_rounds += 1
-                out[member.vertex] = DataFrame(message=member._current_message)
-
-    # ------------------------------------------------------------------
-    # body rounds, kernel lane (see enable_kernel)
-    # ------------------------------------------------------------------
     def _build_kernel_cohorts(self, rounds_remaining: int) -> List[_SeedCohort]:
         """Group the body's senders into ``(seed, cursor)`` cohorts.
 
@@ -708,7 +668,7 @@ class LocalBroadcastBatchDriver:
 
         Applies one bulk cursor :meth:`~repro.core.seedbits.SeedBitStream.skip`
         per member (every future draw then matches per-member stepping
-        exactly), credits the per-member statistics the unkerneled loop
+        exactly), credits the per-member statistics per-process stepping
         maintains per round, and compensates the tracker's shared-decision
         counter for the per-member memo hits the cohort representative
         absorbed.  Called at phase ends, before regrouping, and by the engine

@@ -42,6 +42,7 @@ from abc import ABC, abstractmethod
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.dualgraph.graph import DualGraph, Edge, TopologyIndex, normalize_edge
+from repro.fifo import FIFO_LOCK, fifo_insert
 
 _TWO_64 = float(1 << 64)  # shared by _edge_round_hash and the IID fast paths, which must agree
 
@@ -100,7 +101,7 @@ class SchedulerDeltaCache:
             dict(table) if table else {}
         )
         # The frozenset views of the same deltas, cached separately: the
-        # vectorized resolver consumes sets, and building a frozenset over a
+        # kernel resolvers consume sets, and building a frozenset over a
         # few thousand ids every round costs more than the whole rest of a
         # sparse round's resolution.  Set views are process-local (rebuilt
         # from the id tuples after a preload) and bounded like the id table.
@@ -120,10 +121,7 @@ class SchedulerDeltaCache:
 
     def store(self, key: Hashable, round_number: int, ids: Tuple[int, ...]) -> None:
         """Record a computed delta (evicting the oldest entry when full)."""
-        table = self._table
-        if self._maxsize is not None and len(table) >= self._maxsize:
-            table.pop(next(iter(table)))
-        table[(key, round_number)] = ids
+        fifo_insert(self._table, (key, round_number), ids, self._maxsize)
 
     def lookup_set(self, key: Hashable, round_number: int) -> Optional[FrozenSet[int]]:
         """The cached frozenset view of a delta, or ``None`` when unbuilt."""
@@ -131,10 +129,7 @@ class SchedulerDeltaCache:
 
     def store_set(self, key: Hashable, round_number: int, ids: FrozenSet[int]) -> None:
         """Record a delta's frozenset view (same FIFO bound as the id table)."""
-        table = self._set_table
-        if self._maxsize is not None and len(table) >= self._maxsize:
-            table.pop(next(iter(table)))
-        table[(key, round_number)] = ids
+        fifo_insert(self._set_table, (key, round_number), ids, self._maxsize)
 
     def preload(self, table: Mapping[Tuple[Hashable, int], Tuple[int, ...]]) -> None:
         """Merge a prebuilt ``(key, round) -> ids`` table into the cache.
@@ -159,17 +154,19 @@ class SchedulerDeltaCache:
                 # Already merged (or a prefix survived eviction -- dropped
                 # rounds are simply recomputed on demand).
                 return
-        self._table.update(table)
-        if self._maxsize is not None and len(self._table) > self._maxsize:
-            self._maxsize = len(self._table)
+        with FIFO_LOCK:
+            self._table.update(table)
+            if self._maxsize is not None and len(self._table) > self._maxsize:
+                self._maxsize = len(self._table)
 
     def export_table(self) -> Dict[Tuple[Hashable, int], Tuple[int, ...]]:
         """A picklable snapshot of the cache contents (plain dict of id tuples)."""
         return dict(self._table)
 
     def clear(self) -> None:
-        self._table.clear()
-        self._set_table.clear()
+        with FIFO_LOCK:
+            self._table.clear()
+            self._set_table.clear()
         self.hits = 0
         self.misses = 0
 
@@ -315,7 +312,7 @@ class LinkScheduler(ABC):
     calls :meth:`resolve_topology` to obtain the full edge set of the round's
     communication topology ``G_t`` (always a superset of ``E``).
 
-    For the engine's fast path, schedulers additionally expose a *delta
+    For the engine's kernel lane, schedulers additionally expose a *delta
     interface*: :meth:`unreliable_edge_ids_for_round` reports the included
     edges as dense integer ids from the graph's
     :meth:`~repro.dualgraph.graph.DualGraph.topology_index`, memoized per
@@ -363,7 +360,7 @@ class LinkScheduler(ABC):
     def unreliable_edge_ids_for_round(self, round_number: int) -> Tuple[int, ...]:
         """Dense ids of the unreliable edges included in ``round_number``.
 
-        This is the scheduler half of the engine's fast-path contract:
+        This is the scheduler half of the engine's kernel-lane contract:
 
         * Ids refer to ``self.graph.topology_index()`` (the dense edge ids of
           ``E' \\ E``); the tuple is the round's complete inclusion delta.
@@ -401,8 +398,8 @@ class LinkScheduler(ABC):
         """The round's inclusion delta as a frozenset of dense edge ids.
 
         The set view of :meth:`unreliable_edge_ids_for_round`, memoized per
-        ``(round, topology version)``.  The vectorized reception resolver
-        intersects it with each transmitter's precomputed incident-edge-id
+        ``(round, topology version)``.  The kernel reception resolvers
+        intersect it with each transmitter's precomputed incident-edge-id
         set (:attr:`~repro.dualgraph.graph.TopologyIndex.unreliable_incident_ids`),
         keeping the whole unreliable-edge step in C-level set operations.
         """
@@ -479,9 +476,9 @@ class LinkScheduler(ABC):
     def unreliable_edge_included(self, edge_id: int, round_number: int) -> bool:
         """Whether one unreliable edge (by dense id) is scheduled this round.
 
-        The engine's point-query (PR-2) fast path asks only about the edges
-        incident to the round's transmitters, which for sparse transmission
-        patterns is far fewer edges than the whole of ``E' \\ E``.  The
+        A resolver that asks only about the edges incident to the round's
+        transmitters touches, for sparse transmission patterns, far fewer
+        edges than the whole of ``E' \\ E``.  The
         default answers from the memoized set view of the round's full id
         delta; schedulers whose per-edge decision is O(1) (e.g.
         :class:`IIDScheduler`) override this so that never-queried edges cost

@@ -175,18 +175,13 @@ def materialize(spec: ScenarioSpec, trial_index: int = 0) -> BuiltScenario:
         graph, **environment_kwargs, **spec.environment.args
     )
 
-    engine = spec.engine
     simulator = Simulator(
         graph,
         build.processes,
         scheduler=scheduler,
         environment=environment,
         trace_mode=resolve_trace_mode(spec),
-        fast_path=engine.fast_path,
-        vector_path=engine.vector_path,
-        batch_path=engine.batch_path,
-        kernel=engine.kernel,
-        profile=engine.profile,
+        lane=spec.engine.lane,
     )
     return BuiltScenario(
         spec=spec,
@@ -264,9 +259,9 @@ class RunResult:
     trials: List[TrialRunResult] = field(default_factory=list)
     metrics: Dict[str, Any] = field(default_factory=dict)
     metric_summaries: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    # Timing sections (floats, summed across trials) plus the engine-lane
-    # report: "lane" (the lane that actually ran) and "lane_fallback" (why
-    # the counters-only lane did not engage; None when it did).
+    # The engine-lane report: "lane" (the lane that actually ran) and
+    # "lane_fallback" (why the fastest configuration did not engage; None
+    # when it did).
     perf_stats: Dict[str, Any] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
@@ -356,9 +351,7 @@ def run_trial(spec: ScenarioSpec, trial_index: int, keep: bool = True) -> TrialR
         rounds=built.total_rounds,
         metrics=metrics,
         trace=trace if keep else None,
-        # Profiling runs keep the simulator even under keep=False: its
-        # perf_stats sections are the whole point of profile=True.
-        simulator=built.simulator if keep or spec.engine.profile else None,
+        simulator=built.simulator if keep else None,
         graph=built.graph if keep else None,
         params=built.params if keep else None,
         environment=built.environment if keep else None,
@@ -372,8 +365,8 @@ def run_trial(spec: ScenarioSpec, trial_index: int, keep: bool = True) -> TrialR
 def trial_record(spec: ScenarioSpec, trial_index: int) -> Dict[str, Any]:
     """Execute one trial and return its plain-data (picklable) record.
 
-    :meth:`TrialRunResult.to_dict` plus the simulator's perf sections when
-    profiling -- the wire format every per-trial worker returns
+    :meth:`TrialRunResult.to_dict` plus the engine-lane report -- the wire
+    format every per-trial worker returns
     (:func:`run_spec_trial` here, ``run_suite_task`` in the suite runner) and
     :func:`absorb_trial_record` consumes.
     """
@@ -381,19 +374,15 @@ def trial_record(spec: ScenarioSpec, trial_index: int) -> Dict[str, Any]:
     record = trial.to_dict()
     # The lane report travels with every record (it is how a silent fallback
     # -- e.g. QueuedEnvironment's _on_recv hook dropping a traffic workload
-    # off the counters lane -- becomes visible in RunResult.perf_stats);
-    # profiling merges its timing sections alongside.
-    perf: Dict[str, Any] = dict(trial.lane or {})
-    if spec.engine.profile and trial.simulator is not None:
-        perf.update(trial.simulator.perf_stats)
-    record["perf_stats"] = perf
+    # off the counters lane -- becomes visible in RunResult.perf_stats).
+    record["perf_stats"] = dict(trial.lane or {})
     return record
 
 
 def absorb_trial_record(result: RunResult, record: Mapping[str, Any]) -> None:
     """Append one :func:`trial_record` to a :class:`RunResult` (the pool-side
-    counterpart: reconstructs the :class:`TrialRunResult` and accumulates the
-    perf sections)."""
+    counterpart: reconstructs the :class:`TrialRunResult` and copies the
+    lane report)."""
     result.trials.append(
         TrialRunResult(
             trial_index=record["trial_index"],
@@ -402,13 +391,8 @@ def absorb_trial_record(result: RunResult, record: Mapping[str, Any]) -> None:
             metrics=dict(record["metrics"]),
         )
     )
-    for section, value in record.get("perf_stats", {}).items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            # Lane identity (strings / None): identical across a spec's
-            # trials, so plain assignment -- summing would be nonsense.
-            result.perf_stats[section] = value
-        else:
-            result.perf_stats[section] = result.perf_stats.get(section, 0.0) + value
+    # Lane identity is the same for every trial of a spec.
+    result.perf_stats.update(record.get("perf_stats", {}))
 
 
 def run_spec_trial(
@@ -503,9 +487,6 @@ def run(
             result.trials.append(trial)
             if trial.lane:
                 result.perf_stats.update(trial.lane)
-            if spec.engine.profile and trial.simulator is not None:
-                for section, seconds in trial.simulator.perf_stats.items():
-                    result.perf_stats[section] = result.perf_stats.get(section, 0.0) + seconds
         _aggregate(result)
         return result
 
@@ -552,8 +533,8 @@ def _delta_identity(spec: ScenarioSpec) -> str:
     Two grid variants that differ only in fields the table does not depend on
     (environment, trace mode, name, trial count, ...) map to the same
     identity, so :func:`run_many` computes their shared table once.  The
-    identity covers the topology and scheduler specs, the engine's fast-path
-    eligibility, the seed root (``master_seed`` + ``seed_policy`` determine
+    identity covers the topology and scheduler specs, the engine lane (under
+    the payload key ``"fast"``, which predates lanes), the seed root (``master_seed`` + ``seed_policy`` determine
     trial 0's seed), and the round budget -- including the algorithm spec
     exactly when the round unit derives the budget from it.
     """
@@ -562,7 +543,7 @@ def _delta_identity(spec: ScenarioSpec) -> str:
     payload: Dict[str, Any] = {
         "topology": spec.topology.to_dict(),
         "scheduler": spec.scheduler.to_dict(),
-        "fast": spec.engine.fast_path and spec.engine.vector_path,
+        "fast": spec.engine.lane == "kernel",
         "master_seed": spec.run.master_seed,
         "seed_policy": spec.run.seed_policy,
         "rounds": spec.run.rounds,
@@ -602,7 +583,7 @@ def prebuild_delta_table(
     :func:`repro.dualgraph.adversary.prebuild_scheduler_deltas`, keyed on
     disk (under ``cache_dir``) by ``spec.fingerprint()``.  Returns ``None``
     for non-cacheable schedulers (adaptive adversaries, unkeyed subclasses),
-    for engines that bypass the delta interface (``fast_path=False``), and
+    for the reference lane (it bypasses the delta interface), and
     for multi-trial specs whose topology or scheduler re-randomizes per trial
     (their per-trial delta streams have distinct cache keys, so a trial-0
     table would mostly miss).
@@ -613,7 +594,7 @@ def prebuild_delta_table(
     params-only mode -- against the already-sampled topology (one topology
     sample per call, never a throwaway simulator).
     """
-    if not (spec.engine.fast_path and spec.engine.vector_path):
+    if spec.engine.lane != "kernel":
         return None
     if spec.run.trials > 1 and spec.run.seed_policy != "fixed":
         if _component_rerandomizes_per_trial(TOPOLOGIES, spec.topology):

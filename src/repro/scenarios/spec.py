@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.analysis.sweep import TRIAL_SEED_POLICIES, derive_trial_seed
+from repro.simulation.engine import LANES
 from repro.simulation.trace import TraceMode
 
 #: Spec schema version, embedded in serialized form so future layouts can
@@ -40,7 +41,6 @@ _SEED_POLICIES = TRIAL_SEED_POLICIES
 #: :func:`repro.scenarios.metrics.required_trace_mode`).
 AUTO_TRACE_MODE = "auto"
 _TRACE_MODES = tuple(mode.value for mode in TraceMode) + (AUTO_TRACE_MODE,)
-_KERNELS = ("auto", "python", "numpy", "off")
 
 
 def _json_canonical(data: Any) -> str:
@@ -58,11 +58,14 @@ def _check_json_value(value: Any, where: str) -> Any:
         ) from None
 
 
-def _reject_unknown_keys(data: Mapping[str, Any], allowed, where: str) -> None:
+def _reject_unknown_keys(
+    data: Mapping[str, Any], allowed, where: str, hint: str = ""
+) -> None:
     unknown = set(data) - set(allowed)
     if unknown:
         raise ValueError(
-            f"unknown key(s) in {where}: {sorted(unknown)}; allowed: {sorted(allowed)}"
+            f"unknown key(s) in {where}: {sorted(unknown)}; allowed: "
+            f"{sorted(allowed)}{hint}"
         )
 
 
@@ -215,7 +218,7 @@ class TrafficSpec:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Engine-path selection, declaratively (mirrors the ``Simulator`` kwargs).
+    """Engine selection, declaratively (mirrors the ``Simulator`` kwargs).
 
     ``trace_mode`` is the :class:`~repro.simulation.trace.TraceMode` value as
     its string form (``"full"`` / ``"events"`` / ``"counters"``) so the spec
@@ -224,30 +227,22 @@ class EngineConfig:
     scenario declares (``"full"`` when it declares none, the safe historical
     default).
 
-    ``kernel`` selects the engine's array-kernel backend (``"auto"`` /
-    ``"python"`` / ``"numpy"`` / ``"off"``; see ``Simulator``).  The default
-    ``"auto"`` is omitted from the serialized form so the fingerprints of
-    every pre-existing spec are unchanged -- and since all lanes produce
-    byte-identical traces, the backend choice deliberately does *not*
-    participate in spec identity for cache keying.
+    ``lane`` is the engine lane, ``"kernel"`` (default) or ``"reference"``
+    (see :class:`~repro.simulation.engine.Simulator`).  The default is
+    omitted from the serialized form, so default specs fingerprint the same
+    with or without it.
     """
 
-    fast_path: bool = True
-    vector_path: bool = True
-    batch_path: bool = True
     trace_mode: str = "full"
-    kernel: str = "auto"
-    profile: bool = False
+    lane: str = "kernel"
 
     def __post_init__(self) -> None:
         if self.trace_mode not in _TRACE_MODES:
             raise ValueError(
                 f"trace_mode must be one of {_TRACE_MODES}, got {self.trace_mode!r}"
             )
-        if self.kernel not in _KERNELS:
-            raise ValueError(
-                f"kernel must be one of {_KERNELS}, got {self.kernel!r}"
-            )
+        if self.lane not in LANES:
+            raise ValueError(f"lane must be one of {LANES}, got {self.lane!r}")
 
     @property
     def is_auto_trace_mode(self) -> bool:
@@ -264,23 +259,24 @@ class EngineConfig:
         return TraceMode(self.trace_mode)
 
     def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "fast_path": self.fast_path,
-            "vector_path": self.vector_path,
-            "batch_path": self.batch_path,
-            "trace_mode": self.trace_mode,
-            "profile": self.profile,
-        }
-        if self.kernel != "auto":
-            # Omitted at the default for fingerprint stability (mirrors how
-            # ScenarioSpec omits an empty metrics list).
-            data["kernel"] = self.kernel
+        data: Dict[str, Any] = {"trace_mode": self.trace_mode}
+        if self.lane != "kernel":
+            # Omitted at the default (mirrors how ScenarioSpec omits an
+            # empty metrics list).
+            data["lane"] = self.lane
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
+        # Earlier releases had per-resolver, per-stepping, backend and
+        # profiling keys; point their users at the one selector left.
         allowed = [f.name for f in fields(cls)]
-        _reject_unknown_keys(data, allowed, "engine config")
+        _reject_unknown_keys(
+            data,
+            allowed,
+            "engine config",
+            f" (the engine has two lanes, selected by engine.lane: one of {LANES})",
+        )
         return cls(**{key: data[key] for key in allowed if key in data})
 
 

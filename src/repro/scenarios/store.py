@@ -2,7 +2,7 @@
 
 A :class:`ResultStore` persists executed trial records -- the picklable
 ``trial_record`` wire format of :mod:`repro.scenarios.runtime` (metrics row,
-counters, optional ``perf_stats``) -- under a content-derived key, so any
+counters, the engine-lane report in ``perf_stats``) -- under a content-derived key, so any
 repeated trial anywhere (a rerun suite, an overlapping sweep, a second shard
 of the same partition) becomes a near-free cache hit instead of a recompute.
 
@@ -160,11 +160,10 @@ def metrics_signature(spec: ScenarioSpec) -> str:
 
     Covers the declared metric specs (names + args, canonical JSON), the
     trace mode the trial records under (``"auto"`` resolved against the
-    metric registry), the engine ``profile`` flag (it adds ``perf_stats`` to
-    the record), and :data:`STORE_SCHEMA_VERSION`.  Changing any of these --
-    adding a metric, changing its args, switching trace modes -- changes the
-    signature and therefore misses the old cache entries; everything else
-    (engine lanes, kernel backend) deliberately does not.
+    metric registry), and :data:`STORE_SCHEMA_VERSION`.  Changing any of
+    these -- adding a metric, changing its args, switching trace modes --
+    changes the signature and therefore misses the old cache entries;
+    everything else (engine lane, kernel backend) deliberately does not.
     """
     if spec.engine.is_auto_trace_mode:
         trace_mode = required_trace_mode(spec.metrics).value
@@ -174,7 +173,6 @@ def metrics_signature(spec: ScenarioSpec) -> str:
         "schema": STORE_SCHEMA_VERSION,
         "metrics": [metric.to_dict() for metric in spec.metrics],
         "trace_mode": trace_mode,
-        "profile": spec.engine.profile,
     }
     digest = hashlib.sha256(_json_canonical(payload).encode()).hexdigest()
     return digest[:16]
@@ -186,8 +184,8 @@ def scenario_trial_identity(spec: ScenarioSpec) -> str:
     The scenario's canonical dict minus the fields a trial's trace provably
     does not depend on: ``name``/``description`` (labels), ``metrics``
     (covered by :func:`metrics_signature`), the engine block (all engine
-    lanes/kernels are trace-identical; the trace mode and profile flag ride
-    in the metrics signature), and the run policy's trial bookkeeping
+    lanes are trace-identical; the trace mode rides in the metrics
+    signature), and the run policy's trial bookkeeping
     (``trials`` / ``master_seed`` / ``seed_policy`` matter only through the
     resolved per-trial seed, which is keyed separately).  The round budget
     (``rounds`` + ``rounds_unit``) stays: it decides how long the trial ran.

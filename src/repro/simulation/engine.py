@@ -12,88 +12,63 @@
 * the environment delivers inputs before transmissions and consumes outputs
   after receptions.
 
-Reception resolution has several implementations that produce identical
-results:
+The engine has two lanes, selected by ``Simulator(lane=...)``; for a fixed
+seed both produce byte-identical traces.
 
-* the **kernel lanes** (default when the vector path engages; ``kernel=``)
-  re-express the vectorized resolver as flat array kernels over buffers
-  allocated once per Simulator: with numpy, candidate collection is one
-  ``concatenate`` / ``repeat`` / ``bincount`` pipeline; without numpy, the
-  vector algorithm runs over reusable candidate/sender buffers.  Cohort
-  drivers that opt in additionally bulk-decode each seed cohort's shared
-  decisions into array buffers and advance member streams with one bulk
-  ``skip`` per flush, and a counters-only lane skips event materialization
-  when the trace provably keeps nothing but counters.
+* The **reference** lane (``lane="reference"``) is the model written down
+  directly: every process is stepped individually, and each round asks the
+  scheduler for the full topology edge set and scans it
+  (:meth:`Simulator._resolve_receptions_generic`).  It is the oracle every
+  other configuration is checked against.
+* The **kernel** lane (``lane="kernel"``, the default) steps batchable
+  populations through shared cohort drivers
+  (:meth:`~repro.simulation.process.Process.batch_group_key`): one
+  ``transmit_round`` / ``receive_round`` call per driver per round, seed
+  cohorts bulk-decoded into array buffers, member streams advanced with one
+  bulk ``skip`` per flush.  Receptions are resolved by flat kernels over the
+  graph's integer-indexed :class:`~repro.dualgraph.graph.TopologyIndex`:
+  big-integer bitmask algebra in pure python, or a ``concatenate`` /
+  ``repeat`` / ``bincount`` pipeline when numpy imports (rounds with fewer
+  than 16 transmitters take the python kernel either way).  Only unreliable
+  edges consult the scheduler, through its per-round delta interface.  When
+  the trace keeps counters only and no consumer can observe event objects,
+  rounds run through a counters-only loop that skips event materialization.
 
-* the **vectorized path** (default for oblivious schedulers) works on flat
-  per-round structures over the graph's integer-indexed
-  :class:`~repro.dualgraph.graph.TopologyIndex`.  Collision candidates are
-  bulk-collected per transmitter neighborhood slice (one C-level ``extend``
-  of the precomputed CSR row per transmitter), last-transmitter ids are
-  bulk-filled with ``dict.fromkeys`` over the same slices, and the collision
-  counters fall out of one C-level ``Counter`` pass over the candidate list.
-  Reliable-edge contributions come entirely from the per-transmitter CSR
-  slices precomputed once per topology; only unreliable edges consult the
-  scheduler, via a per-round scheduled-edge-id *set*
-  (:meth:`~repro.dualgraph.adversary.LinkScheduler.unreliable_edge_id_set_for_round`)
-  intersected with each transmitter's precomputed incident-id set.  Those
-  per-round deltas are shared across trials by the
-  :class:`~repro.dualgraph.adversary.SchedulerDeltaCache`, so in sweeps the
-  scheduler hashing is paid once per sweep point, not once per trial.
-* the **point-query fast path** (``vector_path=False``; the PR-1/PR-2
-  resolver) is transmitter-centric with explicit Python loops: each
-  transmitter bumps a collision counter on its reliable neighbors via the
-  CSR adjacency and point-queries the scheduler
-  (:meth:`~repro.dualgraph.adversary.LinkScheduler.unreliable_edge_included`)
-  for exactly the unreliable edges incident to transmitters.  It never
-  materializes a round's full delta, which makes it the better choice for
-  one-shot runs of hash-driven schedulers with very sparse transmission
-  patterns, and it doubles as a reference implementation in the vectorized
-  path's regression tests.
-* the **generic path** asks the scheduler for the round's full topology edge
-  set and scans it.  It is kept for adaptive schedulers (whose edge choice
-  depends on the round's transmitters) and for schedulers that override
-  :meth:`~repro.dualgraph.adversary.LinkScheduler.resolve_topology`, and it
-  doubles as the reference implementation in determinism regression tests.
+  Two things the engine can observe keep the generic resolver inside the
+  kernel lane: an adaptive scheduler (its edge choice depends on the round's
+  transmitters, which the delta interface cannot express) and a scheduler
+  that overrides
+  :meth:`~repro.dualgraph.adversary.LinkScheduler.resolve_topology`.  Such
+  runs report the lane ``kernel-generic`` and name the scheduler in
+  :attr:`Simulator.lane_fallback`.
 
-Independently of reception resolution, *process stepping* has two
-implementations that also produce identical results:
-
-* **batched stepping** (default): processes exposing a batch group key
-  (:meth:`~repro.simulation.process.Process.batch_group_key`) are stepped by
-  shared cohort drivers -- one ``transmit_round`` / ``receive_round`` call
-  per driver per round instead of two method calls per process -- which lets
-  homogeneous populations share per-round decisions and skip dormant members
-  entirely.  Ungrouped processes in the same run are stepped per-process.
-* **per-process stepping** steps every process individually and doubles as
-  the reference implementation in the batching regression tests.
-
-In both stepping modes the ``on_round_start`` / ``on_round_end`` hook loops
-only visit processes whose class actually overrides those hooks (detected
-once at construction); for hook-free populations the loops vanish.
+In both lanes the ``on_round_start`` / ``on_round_end`` hook loops only
+visit processes whose class actually overrides those hooks (detected once at
+construction); for hook-free populations the loops vanish.
 """
 
 from __future__ import annotations
 
-import time
-import warnings
-from collections import Counter
 from typing import Any, Dict, Hashable, List, Mapping, Optional
 
 from repro.dualgraph.adversary import LinkScheduler, NoUnreliableScheduler
 from repro.dualgraph.graph import DualGraph
+from repro.fifo import fifo_insert
 from repro.simulation.environment import Environment, NullEnvironment
 from repro.simulation.process import Process
 from repro.simulation.trace import ExecutionTrace, TraceMode
 
 Vertex = Hashable
 
+#: The engine lanes ``Simulator(lane=...)`` accepts.
+LANES = ("kernel", "reference")
+
 #: Process-wide memo of per-round scheduled-edge bitmasks, keyed by
 #: ``(scheduler delta-cache key, round)``.  The delta cache key's contract
 #: (equal keys => identical deltas for every round, across instances and
 #: processes) is exactly the license needed to share the masks the same way
 #: the :class:`~repro.dualgraph.adversary.SchedulerDeltaCache` shares the id
-#: sets.  Bounded FIFO: inserts past the cap evict the oldest entry.
+#: sets.  Bounded FIFO (:func:`~repro.fifo.fifo_insert`).
 _SCHED_MASK_CACHE: Dict[Any, int] = {}
 _SCHED_MASK_CACHE_MAXSIZE = 8192
 
@@ -112,49 +87,12 @@ class Simulator:
         edges (topology always equals ``G``).
     environment:
         The input/output environment; defaults to a :class:`NullEnvironment`.
-    record_frames:
-        **Deprecated** legacy knob (a ``DeprecationWarning`` is emitted when
-        it is passed explicitly): ``False`` mapped to
-        ``trace_mode=TraceMode.EVENTS`` and ``True`` to ``TraceMode.FULL``.
-        Use ``trace_mode=`` instead.
     trace_mode:
-        Explicit :class:`TraceMode` (overrides ``record_frames``; default
+        The :class:`TraceMode` of the recorded trace (default
         ``TraceMode.FULL``).
-    fast_path:
-        Use the indexed transmitter-centric reception resolvers when the
-        scheduler allows it.  Disable to force the generic edge-set resolver
-        (used by regression tests and as the "seed engine" benchmark
-        baseline); all resolvers produce identical traces.
-    vector_path:
-        Within the fast path, resolve receptions with the vectorized
-        flat-array resolver (see module docstring); requires the scheduler's
-        per-round delta set, which the :class:`SchedulerDeltaCache` shares
-        across trials.  Disable to fall back to the PR-1/PR-2 point-query
-        resolver (which never materializes full deltas); both produce
-        identical traces.  Ignored when the fast path itself is off.
-    batch_path:
-        Step batchable processes through shared cohort drivers (see module
-        docstring).  Disable to force per-process stepping for every process
-        (used by regression tests and as the "PR-1 fast engine" benchmark
-        baseline); both produce identical traces.
-    kernel:
-        The array-kernel lanes riding on the vector path: ``"auto"``
-        (default) engages them with numpy when importable and the pure-python
-        ``array`` kernels otherwise; ``"numpy"`` requests numpy but falls
-        back to python when absent; ``"python"`` forces the python kernels;
-        ``"off"`` disables both kernel lanes (the configuration every
-        pre-kernel lane is benchmarked and regression-tested under).  When
-        engaged, reception resolution uses flat array kernels over reusable
-        round buffers, batch drivers that opt in (``enable_kernel``) step
-        seed cohorts through bulk-decoded decision buffers, and -- when the
-        trace mode is ``COUNTERS`` and no consumer can observe event objects
-        -- rounds run through a counters-only lane that skips event
-        materialization entirely.  Every lane produces byte-identical traces
-        (identical aggregate counters in ``COUNTERS`` mode).
-    profile:
-        Collect per-section wall-clock totals in :attr:`perf_stats`
-        (``inputs`` / ``transmit`` / ``resolve`` / ``deliver`` / ``outputs``).
-        Off by default; profiling adds a few timer calls per round.
+    lane:
+        ``"kernel"`` (default) or ``"reference"``; see the module docstring.
+        Both lanes produce identical traces.
     """
 
     def __init__(
@@ -163,14 +101,11 @@ class Simulator:
         processes: Mapping[Vertex, Process],
         scheduler: Optional[LinkScheduler] = None,
         environment: Optional[Environment] = None,
-        record_frames: Optional[bool] = None,
         trace_mode: Optional[TraceMode] = None,
-        fast_path: bool = True,
-        vector_path: bool = True,
-        batch_path: bool = True,
-        kernel: str = "auto",
-        profile: bool = False,
+        lane: str = "kernel",
     ) -> None:
+        if lane not in LANES:
+            raise ValueError(f"lane must be one of {LANES}, got {lane!r}")
         missing = graph.vertices - set(processes)
         if missing:
             raise ValueError(f"no process supplied for vertices: {sorted(map(repr, missing))}")
@@ -181,79 +116,47 @@ class Simulator:
         self._processes: Dict[Vertex, Process] = dict(processes)
         self._scheduler = scheduler if scheduler is not None else NoUnreliableScheduler(graph)
         self._environment = environment if environment is not None else NullEnvironment()
-        if record_frames is not None:
-            warnings.warn(
-                "Simulator(record_frames=...) is deprecated; pass "
-                "trace_mode=TraceMode.FULL (record_frames=True) or "
-                "trace_mode=TraceMode.EVENTS (record_frames=False) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if trace_mode is None:
-                trace_mode = TraceMode.FULL if record_frames else TraceMode.EVENTS
         self._trace = ExecutionTrace(mode=trace_mode)
         self._current_round = 0
         self._started = False
-        self.perf_stats: Dict[str, float] = {}
-        self._profile = bool(profile)
 
-        self._fast = bool(fast_path) and self._supports_fast_path()
-        self._vector = self._fast and bool(vector_path)
-
-        # Kernel backend resolution.  The kernel lanes ride on the vector
-        # path's flat structures and the scheduler delta interface, so they
-        # engage only when the vector path does; "auto" prefers numpy and
-        # falls back to the pure-python array kernels, exactly like an
-        # explicit "numpy" request on an interpreter without numpy.
-        if kernel not in ("auto", "python", "numpy", "off"):
-            raise ValueError(
-                f"kernel must be one of 'auto', 'python', 'numpy', 'off', got {kernel!r}"
-            )
+        self._lane = lane
+        kernel = lane == "kernel"
+        # Within the kernel lane, the scheduler decides the resolver: the
+        # bitmask kernels need the per-round delta interface, which adaptive
+        # and resolve_topology-overriding schedulers cannot serve.
+        self._generic_reason = self._generic_resolver_reason() if kernel else None
         self._np = None
         backend: Optional[str] = None
-        if kernel != "off" and self._vector:
-            if kernel == "python":
-                backend = "python"
-            else:
-                try:
-                    import numpy
+        if kernel and self._generic_reason is None:
+            try:
+                import numpy
 
-                    self._np = numpy
-                    backend = "numpy"
-                except ImportError:
-                    backend = "python"
+                self._np = numpy
+                backend = "numpy"
+            except ImportError:
+                backend = "python"
         self._kernel_backend = backend
 
-        # Round-scoped reusable buffers (kernel lanes only; the vector path
-        # keeps its per-round allocations as the pinned reference): allocated
-        # once per Simulator, reset at the start of each use.
+        # Round-scoped reusable buffers (kernel lane): allocated once per
+        # Simulator, reset at the start of each use.
         self._kr_masks: List[int] = []
         self._kr_receptions: Dict[Vertex, Any] = {}
         self._kr_transmissions: Dict[Vertex, Any] = {}
         self._kr_outputs: List[Any] = []
 
-        if self._fast:
+        if backend is not None:
             self._bind_index()
 
-        # Batch stepping: group processes that expose a cohort key under one
-        # driver each; everything else is stepped per-process.  Output drain
-        # order must match the per-process engine, so keep the full process
-        # list in registration order regardless of grouping.
+        # Batch stepping (kernel lane): group processes that expose a cohort
+        # key under one driver each; everything else is stepped per-process.
+        # Output drain order must match per-process stepping, so keep the
+        # full process list in registration order regardless of grouping.
         self._ordered_processes: List[Process] = list(self._processes.values())
         self._batch_drivers: List[Any] = []
         self._ungrouped: Dict[Vertex, Process] = self._processes
-        if batch_path:
+        if kernel:
             self._build_batch_groups()
-
-        # Kernel stepping: drivers that opt in (duck-typed enable_kernel)
-        # defer member stream advancement and stats to bulk flushes; the
-        # engine settles them at every run() boundary.
-        self._kernel_drivers: List[Any] = []
-        if backend is not None:
-            for driver in self._batch_drivers:
-                enable = getattr(driver, "enable_kernel", None)
-                if enable is not None and enable():
-                    self._kernel_drivers.append(driver)
 
         # Hook-override detection: the on_round_start/on_round_end loops are
         # pure overhead for populations that never override them (two full
@@ -269,53 +172,49 @@ class Simulator:
             if type(p).on_round_end is not Process.on_round_end
         ]
 
-        # Counters-only kernel lane: engages when it is provable that no
-        # consumer will ever read event objects -- the trace keeps counters
-        # only, every process is stepped by a kernel driver that can count
-        # receptions without materializing RecvOutputs, there are no round
-        # hooks, and the environment uses the base-class observation methods
-        # (a subclass hook could inspect recv events the lane never builds).
-        env_type = type(self._environment)
-        self._counters_lane = (
-            self._trace.mode is TraceMode.COUNTERS
-            and backend is not None
-            and bool(self._batch_drivers)
-            and not self._ungrouped
-            and len(self._kernel_drivers) == len(self._batch_drivers)
-            and all(
-                hasattr(driver, "receive_round_counters")
-                for driver in self._batch_drivers
+        # Counters-only loop: engages when it is provable that no consumer
+        # will ever read event objects (see _counters_blocker).  Surface
+        # *why* the fastest configuration did not engage (None when it did):
+        # the silent part of lane selection -- e.g. a traffic environment
+        # whose ``_on_recv`` hook quietly drops the run off the counters
+        # loop -- becomes a recorded, assertable reason instead of a perf
+        # mystery.
+        blocker = self._counters_blocker(type(self._environment))
+        self._counters_lane = blocker is None
+        self._lane_fallback = self._generic_reason or blocker
+
+    def _generic_resolver_reason(self) -> Optional[str]:
+        """Why the kernel lane must use the generic resolver (None if not)."""
+        scheduler = self._scheduler
+        name = type(scheduler).__name__
+        if scheduler.is_adaptive:
+            return (
+                f"scheduler {name} is adaptive (the generic resolver serves "
+                "transmitter-dependent topologies)"
             )
-            and not self._round_start_hooks
-            and not self._round_end_hooks
-            and env_type.observe_outputs is Environment.observe_outputs
-            and env_type._on_recv is Environment._on_recv
-        )
-        # Surface *why* the top lane did not engage (None when it did): the
-        # silent part of lane selection -- e.g. a traffic environment whose
-        # ``_on_recv`` hook quietly drops the run off the counters lane --
-        # becomes a recorded, assertable reason instead of a perf mystery.
-        self._lane_fallback = self._counters_fallback_reason(env_type, backend)
+        if type(scheduler).resolve_topology is not LinkScheduler.resolve_topology:
+            return f"scheduler {name} overrides resolve_topology"
+        if scheduler.graph is not self._graph:
+            return f"scheduler {name} is bound to a different graph object"
+        return None
 
-    def _counters_fallback_reason(
-        self, env_type: type, backend: Optional[str]
-    ) -> Optional[str]:
-        """The first condition that kept the counters-only lane off.
+    def _counters_blocker(self, env_type: type) -> Optional[str]:
+        """The first condition that keeps the counters-only loop off, or
+        None when it engages.
 
-        Mirrors the eligibility conjunction above, in order, so the reported
-        reason is the same check an engineer would hit stepping through it.
+        The loop builds no event objects, so it needs proof that nobody
+        could read them: the trace keeps counters only, every process is
+        stepped by a driver that can count receptions without materializing
+        RecvOutputs, there are no round hooks, and the environment uses the
+        base-class observation methods (a subclass hook could inspect recv
+        events the loop never builds).
         """
-        if self._counters_lane:
-            return None
+        if self._lane == "reference":
+            return "lane 'reference' requested"
         if self._trace.mode is not TraceMode.COUNTERS:
             return (
                 f"trace mode is '{self._trace.mode.value}' "
                 "(the counters lane needs 'counters')"
-            )
-        if backend is None:
-            return (
-                "no kernel backend engaged (kernel lanes need fast_path + "
-                "vector_path and kernel != 'off')"
             )
         if not self._batch_drivers:
             return "no batch group drivers (processes expose no cohort key)"
@@ -324,8 +223,6 @@ class Simulator:
                 f"{len(self._ungrouped)} process(es) stepped outside "
                 "batch groups"
             )
-        if len(self._kernel_drivers) != len(self._batch_drivers):
-            return "a batch driver declined kernel stepping"
         if not all(
             hasattr(driver, "receive_round_counters")
             for driver in self._batch_drivers
@@ -341,7 +238,9 @@ class Simulator:
             )
         if env_type.observe_outputs is not Environment.observe_outputs:
             return f"environment {env_type.__name__} overrides observe_outputs"
-        return f"environment {env_type.__name__} overrides _on_recv"
+        if env_type._on_recv is not Environment._on_recv:
+            return f"environment {env_type.__name__} overrides _on_recv"
+        return None
 
     def _build_batch_groups(self) -> None:
         groups: Dict[Any, Any] = {}
@@ -363,58 +262,37 @@ class Simulator:
             self._batch_drivers = list(groups.values())
             self._ungrouped = ungrouped
 
-    def _supports_fast_path(self) -> bool:
-        scheduler = self._scheduler
-        return (
-            not scheduler.is_adaptive
-            and scheduler.graph is self._graph
-            # A scheduler that customizes resolve_topology (beyond the
-            # adaptive subclasses) may depend on the transmitter set, which
-            # the delta interface cannot express.
-            and type(scheduler).resolve_topology is LinkScheduler.resolve_topology
-        )
-
     def _bind_index(self) -> None:
         index = self._graph.topology_index()
-        self._index = index
         self._index_version = self._graph.topology_version
         self._idx_of = index.index_of
         self._vertex_of = index.vertices
         self._g_neighbors = index.g_neighbors
-        self._u_adjacency = index.unreliable_adjacency
         n = index.n
-        self._tx_flags = bytearray(n)
-        self._hits = [0] * n
-        self._last_sender = [0] * n
-        # Vector-path views: per-vertex incident unreliable edge ids (for set
-        # intersection with the round's scheduled delta) and eid -> neighbor
-        # maps, both precomputed once per topology by the index.
+        # Per-vertex incident unreliable edge ids and eid -> neighbor maps,
+        # both precomputed once per topology by the index.
         self._u_incident = index.unreliable_incident_ids
         self._u_neighbor_of = index.unreliable_neighbor_by_eid
         self._has_unreliable = index.num_unreliable_edges > 0
-        # Kernel-resolver views (built only when a kernel backend is
-        # engaged): the python kernel resolver runs the whole collision rule
-        # as big-integer bitmask algebra, so it needs per-vertex reliable
-        # neighborhoods and incident unreliable edge ids as bit masks, plus
-        # the single-bit table for assembling per-round masks.  A round's
-        # working set is then a few hundred bytes of ints instead of the
-        # ~64KB frozenset hash tables the per-round delta sets occupy, which
-        # is what makes the mask ops cache-resident.
-        if self._kernel_backend is not None:
-            bit = self._v_bit = [1 << i for i in range(n)]
-            self._g_vmasks = [
-                sum(bit[j] for j in row) for row in index.g_neighbors
-            ]
-            self._u_mask_bytes = max(1, (index.num_unreliable_edges + 7) >> 3)
-            self._u_inc_masks = [
-                sum(1 << eid for eid in eids) for eids in self._u_incident
-            ]
-            # The scheduled-edge bitmask is memoized process-wide under the
-            # scheduler's delta cache key (same sharing license as the delta
-            # sets themselves); None disables the mask path.
-            self._sched_mask_key = (
-                self._scheduler.delta_cache_key() if self._has_unreliable else None
-            )
+        # The python kernel runs the whole collision rule as big-integer
+        # bitmask algebra, so it needs per-vertex reliable neighborhoods and
+        # incident unreliable edge ids as bit masks, plus the single-bit
+        # table for assembling per-round masks.  A round's working set is
+        # then a few hundred bytes of ints instead of the ~64KB frozenset
+        # hash tables the per-round delta sets occupy, which is what makes
+        # the mask ops cache-resident.
+        bit = self._v_bit = [1 << i for i in range(n)]
+        self._g_vmasks = [sum(bit[j] for j in row) for row in index.g_neighbors]
+        self._u_mask_bytes = max(1, (index.num_unreliable_edges + 7) >> 3)
+        self._u_inc_masks = [
+            sum(1 << eid for eid in eids) for eids in self._u_incident
+        ]
+        # The scheduled-edge bitmask is memoized process-wide under the
+        # scheduler's delta cache key (same sharing license as the delta
+        # sets themselves); unkeyed schedulers decode it per round.
+        self._sched_mask_key = (
+            self._scheduler.delta_cache_key() if self._has_unreliable else None
+        )
         # Numpy-kernel views: per-vertex neighbor rows as index arrays (for
         # one concatenate per round instead of per-transmitter extends), row
         # lengths (for the matching repeat of sender ids), and a sender
@@ -456,54 +334,35 @@ class Simulator:
         return self._current_round
 
     @property
-    def uses_fast_path(self) -> bool:
-        """Whether receptions are resolved via the indexed fast path."""
-        return self._fast
-
-    @property
-    def uses_vector_path(self) -> bool:
-        """Whether receptions are resolved via the vectorized flat-array path."""
-        return self._vector
-
-    @property
     def uses_batch_stepping(self) -> bool:
         """Whether any processes are stepped through batch group drivers."""
         return bool(self._batch_drivers)
 
     @property
-    def uses_kernel(self) -> bool:
-        """Whether the array-kernel lanes (resolver and, when batched, cohort
-        stepping) are engaged."""
-        return self._kernel_backend is not None
-
-    @property
     def kernel_backend(self) -> Optional[str]:
-        """``"numpy"`` or ``"python"`` when the kernel is engaged, else None."""
+        """``"numpy"`` or ``"python"`` when a kernel resolver runs, else None
+        (reference lane, or the generic resolver inside the kernel lane)."""
         return self._kernel_backend
 
     @property
     def uses_counters_lane(self) -> bool:
-        """Whether rounds run through the counters-only kernel lane."""
+        """Whether rounds run through the counters-only loop."""
         return self._counters_lane
 
     @property
     def lane(self) -> str:
-        """The engine lane rounds actually run through, most-optimized first:
-        ``counters-kernel-<backend>``, ``kernel-<backend>``, ``vector``,
-        ``fast``, or ``reference``."""
-        if self._counters_lane:
-            return f"counters-kernel-{self._kernel_backend}"
-        if self._kernel_backend is not None:
-            return f"kernel-{self._kernel_backend}"
-        if self._vector:
-            return "vector"
-        if self._fast:
-            return "fast"
-        return "reference"
+        """The lane rounds actually run through: ``counters-kernel-<resolver>``,
+        ``kernel-<resolver>`` (resolver ``numpy``, ``python`` or
+        ``generic``), or ``reference``."""
+        if self._lane == "reference":
+            return "reference"
+        prefix = "counters-" if self._counters_lane else ""
+        return f"{prefix}kernel-{self._kernel_backend or 'generic'}"
 
     @property
     def lane_fallback(self) -> Optional[str]:
-        """Why the counters-only lane did not engage (``None`` when it did)."""
+        """Why the fastest configuration -- the counters-only loop over a
+        kernel resolver -- did not engage (``None`` when it did)."""
         return self._lane_fallback
 
     @property
@@ -526,27 +385,18 @@ class Simulator:
             for process in self._processes.values():
                 process.on_start()
             self._started = True
-        if self._counters_lane:
-            step = (
-                self._run_one_round_kernel_counters_profiled
-                if self._profile
-                else self._run_one_round_kernel_counters
-            )
-        elif self._batch_drivers:
-            step = (
-                self._run_one_round_batched_profiled
-                if self._profile
-                else self._run_one_round_batched
-            )
-        else:
-            step = self._run_one_round_profiled if self._profile else self._run_one_round
+        step = (
+            self._run_one_round_kernel_counters
+            if self._counters_lane
+            else self._run_one_round
+        )
         for _ in range(rounds):
             self._current_round += 1
             step(self._current_round)
-        # Settle any deferred kernel-driver state (member streams, stats) so
-        # callers observe exactly the per-process state at every run boundary;
+        # Settle deferred driver state (member streams, stats) so callers
+        # observe exactly the per-process state at every run boundary;
         # drivers rebuild their cohorts lazily if the run resumes mid-body.
-        for driver in self._kernel_drivers:
+        for driver in self._batch_drivers:
             driver.flush_kernel_state()
         return self._trace
 
@@ -569,57 +419,14 @@ class Simulator:
     # one round of the Section 2 execution model
     # ------------------------------------------------------------------
     def _run_one_round(self, round_number: int) -> None:
-        trace = self._trace
-        trace.note_round(round_number)
-        processes = self._processes
-
-        for process in self._round_start_hooks:
-            process.on_round_start(round_number)
-
-        # 1. environment inputs
-        inputs = self._environment.inputs_for_round(round_number)
-        for vertex, vertex_inputs in inputs.items():
-            process = processes[vertex]
-            for inp in vertex_inputs:
-                process.on_input(round_number, inp)
-                trace.record_event(
-                    _as_bcast_event(vertex, inp, round_number)
-                )
-
-        # 2. transmission decisions
-        transmissions: Dict[Vertex, Any] = {}
-        for vertex, process in processes.items():
-            frame = process.transmit(round_number)
-            if frame is not None:
-                transmissions[vertex] = frame
-        trace.record_transmissions(round_number, transmissions)
-
-        # 3. topology for this round and reception resolution
-        receptions = self._resolve_receptions(round_number, transmissions)
-        trace.record_receptions(round_number, receptions)
-        get_reception = receptions.get
-        for vertex, process in processes.items():
-            process.on_receive(round_number, get_reception(vertex))
-
-        # 4. outputs
-        for process in self._round_end_hooks:
-            process.on_round_end(round_number)
-        round_outputs = []
-        for process in self._ordered_processes:
-            if process._pending_outputs:
-                for event in process.drain_outputs():
-                    trace.record_event(event)
-                    round_outputs.append(event)
-        self._environment.observe_outputs(round_number, round_outputs)
-
-    def _run_one_round_batched(self, round_number: int) -> None:
-        """`_run_one_round` with grouped processes stepped by their drivers.
+        """One round of the Section 2 model, in four steps.
 
         Grouped processes get no per-round ``transmit`` / ``on_receive``
         dispatch at all; their drivers add transmissions to, and consume
         receptions from, the same round-level dicts the per-process loops
-        use, which is what keeps traces byte-identical across the stepping
-        modes (events are drained in registration order either way).
+        use, which is what keeps traces byte-identical between the lanes
+        (events are drained in registration order either way).  In the
+        reference lane there are no drivers and every process is ungrouped.
         """
         trace = self._trace
         trace.note_round(round_number)
@@ -668,126 +475,11 @@ class Simulator:
                     round_outputs.append(event)
         self._environment.observe_outputs(round_number, round_outputs)
 
-    def _run_one_round_profiled(self, round_number: int) -> None:
-        """`_run_one_round` with per-section wall-clock accounting.
-
-        Kept as a separate copy so the unprofiled hot loop carries no timer
-        overhead at all.
-        """
-        perf = self.perf_stats
-        clock = time.perf_counter
-        trace = self._trace
-        trace.note_round(round_number)
-        processes = self._processes
-
-        t0 = clock()
-        for process in self._round_start_hooks:
-            process.on_round_start(round_number)
-        inputs = self._environment.inputs_for_round(round_number)
-        for vertex, vertex_inputs in inputs.items():
-            process = processes[vertex]
-            for inp in vertex_inputs:
-                process.on_input(round_number, inp)
-                trace.record_event(_as_bcast_event(vertex, inp, round_number))
-        t1 = clock()
-        perf["inputs"] = perf.get("inputs", 0.0) + (t1 - t0)
-
-        transmissions: Dict[Vertex, Any] = {}
-        for vertex, process in processes.items():
-            frame = process.transmit(round_number)
-            if frame is not None:
-                transmissions[vertex] = frame
-        trace.record_transmissions(round_number, transmissions)
-        t2 = clock()
-        perf["transmit"] = perf.get("transmit", 0.0) + (t2 - t1)
-
-        receptions = self._resolve_receptions(round_number, transmissions)
-        trace.record_receptions(round_number, receptions)
-        t3 = clock()
-        perf["resolve"] = perf.get("resolve", 0.0) + (t3 - t2)
-
-        get_reception = receptions.get
-        for vertex, process in processes.items():
-            process.on_receive(round_number, get_reception(vertex))
-        t4 = clock()
-        perf["deliver"] = perf.get("deliver", 0.0) + (t4 - t3)
-
-        for process in self._round_end_hooks:
-            process.on_round_end(round_number)
-        round_outputs = []
-        for process in self._ordered_processes:
-            if process._pending_outputs:
-                for event in process.drain_outputs():
-                    trace.record_event(event)
-                    round_outputs.append(event)
-        self._environment.observe_outputs(round_number, round_outputs)
-        t5 = clock()
-        perf["outputs"] = perf.get("outputs", 0.0) + (t5 - t4)
-
-    def _run_one_round_batched_profiled(self, round_number: int) -> None:
-        """`_run_one_round_batched` with per-section wall-clock accounting."""
-        perf = self.perf_stats
-        clock = time.perf_counter
-        trace = self._trace
-        trace.note_round(round_number)
-
-        t0 = clock()
-        for process in self._round_start_hooks:
-            process.on_round_start(round_number)
-        inputs = self._environment.inputs_for_round(round_number)
-        if inputs:
-            processes = self._processes
-            for vertex, vertex_inputs in inputs.items():
-                process = processes[vertex]
-                for inp in vertex_inputs:
-                    process.on_input(round_number, inp)
-                    trace.record_event(_as_bcast_event(vertex, inp, round_number))
-        t1 = clock()
-        perf["inputs"] = perf.get("inputs", 0.0) + (t1 - t0)
-
-        transmissions: Dict[Vertex, Any] = {}
-        for driver in self._batch_drivers:
-            driver.transmit_round(round_number, transmissions)
-        for vertex, process in self._ungrouped.items():
-            frame = process.transmit(round_number)
-            if frame is not None:
-                transmissions[vertex] = frame
-        trace.record_transmissions(round_number, transmissions)
-        t2 = clock()
-        perf["transmit"] = perf.get("transmit", 0.0) + (t2 - t1)
-
-        receptions = self._resolve_receptions(round_number, transmissions)
-        trace.record_receptions(round_number, receptions)
-        t3 = clock()
-        perf["resolve"] = perf.get("resolve", 0.0) + (t3 - t2)
-
-        for driver in self._batch_drivers:
-            driver.receive_round(round_number, receptions)
-        if self._ungrouped:
-            get_reception = receptions.get
-            for vertex, process in self._ungrouped.items():
-                process.on_receive(round_number, get_reception(vertex))
-        t4 = clock()
-        perf["deliver"] = perf.get("deliver", 0.0) + (t4 - t3)
-
-        for process in self._round_end_hooks:
-            process.on_round_end(round_number)
-        round_outputs = []
-        for process in self._ordered_processes:
-            if process._pending_outputs:
-                for event in process.drain_outputs():
-                    trace.record_event(event)
-                    round_outputs.append(event)
-        self._environment.observe_outputs(round_number, round_outputs)
-        t5 = clock()
-        perf["outputs"] = perf.get("outputs", 0.0) + (t5 - t4)
-
     def _run_one_round_kernel_counters(self, round_number: int) -> None:
         """One round of the counters-only kernel lane.
 
-        `_run_one_round_batched` specialized for the configuration the
-        constructor proved safe: every process is driven by a kernel batch
-        driver, the trace keeps only counters, and the environment observes
+        `_run_one_round` specialized for the configuration the
+        constructor proved safe: every process is driven by a batch driver, the trace keeps only counters, and the environment observes
         through the base-class methods.  Receptions are therefore counted by
         the drivers (no ``RecvOutput`` objects, no per-process drain scan --
         drivers hand back the round's materialized outputs, which are acks
@@ -831,57 +523,6 @@ class Simulator:
                 trace.record_event(event)
         environment.observe_outputs(round_number, emitted)
 
-    def _run_one_round_kernel_counters_profiled(self, round_number: int) -> None:
-        """`_run_one_round_kernel_counters` with per-section accounting."""
-        perf = self.perf_stats
-        clock = time.perf_counter
-        trace = self._trace
-        trace.note_round(round_number)
-        environment = self._environment
-
-        t0 = clock()
-        inputs = environment.inputs_for_round(round_number)
-        if inputs:
-            processes = self._processes
-            for vertex, vertex_inputs in inputs.items():
-                process = processes[vertex]
-                for inp in vertex_inputs:
-                    process.on_input(round_number, inp)
-                    trace.record_event(_as_bcast_event(vertex, inp, round_number))
-        t1 = clock()
-        perf["inputs"] = perf.get("inputs", 0.0) + (t1 - t0)
-
-        transmissions = self._kr_transmissions
-        transmissions.clear()
-        for driver in self._batch_drivers:
-            driver.transmit_round(round_number, transmissions)
-        trace.record_transmissions(round_number, transmissions)
-        t2 = clock()
-        perf["transmit"] = perf.get("transmit", 0.0) + (t2 - t1)
-
-        receptions = self._resolve_receptions(round_number, transmissions)
-        if receptions:
-            trace.count_receptions(len(receptions))
-        t3 = clock()
-        perf["resolve"] = perf.get("resolve", 0.0) + (t3 - t2)
-
-        emitted = self._kr_outputs
-        del emitted[:]
-        recvs = 0
-        for driver in self._batch_drivers:
-            recvs += driver.receive_round_counters(round_number, receptions, emitted)
-        if recvs:
-            trace.count_recv_outputs(recvs)
-        t4 = clock()
-        perf["deliver"] = perf.get("deliver", 0.0) + (t4 - t3)
-
-        if emitted:
-            for event in emitted:
-                trace.record_event(event)
-        environment.observe_outputs(round_number, emitted)
-        t5 = clock()
-        perf["outputs"] = perf.get("outputs", 0.0) + (t5 - t4)
-
     # ------------------------------------------------------------------
     # reception resolution
     # ------------------------------------------------------------------
@@ -895,32 +536,24 @@ class Simulator:
         """
         if not transmissions:
             return {}
-        if self._fast:
-            if self._index_version != self._graph.topology_version:
-                # The graph was mutated mid-run (dynamic-topology experiment):
-                # refresh the index view so edge ids stay in sync with the
-                # schedulers, which key their own caches on the same version.
-                self._bind_index()
-            if self._vector:
-                backend = self._kernel_backend
-                if backend is None:
-                    return self._resolve_receptions_vector(round_number, transmissions)
-                if backend == "numpy":
-                    return self._resolve_receptions_kernel_numpy(
-                        round_number, transmissions
-                    )
-                return self._resolve_receptions_kernel_python(
-                    round_number, transmissions
-                )
-            return self._resolve_receptions_fast(round_number, transmissions)
-        return self._resolve_receptions_generic(round_number, transmissions)
+        backend = self._kernel_backend
+        if backend is None:
+            return self._resolve_receptions_generic(round_number, transmissions)
+        if self._index_version != self._graph.topology_version:
+            # The graph was mutated mid-run (dynamic-topology experiment):
+            # refresh the index view so edge ids stay in sync with the
+            # schedulers, which key their own caches on the same version.
+            self._bind_index()
+        if backend == "numpy":
+            return self._resolve_receptions_kernel_numpy(round_number, transmissions)
+        return self._resolve_receptions_kernel_python(round_number, transmissions)
 
     def _resolve_receptions_kernel_python(
         self, round_number: int, transmissions: Dict[Vertex, Any]
     ) -> Dict[Vertex, Any]:
         """The collision rule as big-integer bitmask algebra.
 
-        Computes exactly the receptions of :meth:`_resolve_receptions_vector`
+        Computes exactly the receptions of :meth:`_resolve_receptions_generic`
         with every per-candidate container replaced by arbitrary-precision
         ints: each transmitter's reach this round is one mask over vertex
         indices (precomputed reliable neighborhood ORed with the decoded
@@ -937,11 +570,10 @@ class Simulator:
         Winner attribution needs no sender map: a winner was reached by
         exactly one transmitter, so intersecting each transmitter's mask with
         the winner mask partitions the winners.  The receptions dict's
-        *insertion order* differs from the vector path (ascending index per
-        transmitter rather than first-touch), which is observationally
-        irrelevant for the same reasons as the numpy resolver: frame maps
-        compare as dicts and events are drained in process-registration
-        order.  The returned dict is reused across rounds -- every
+        *insertion order* differs from the generic resolver's (ascending
+        index per transmitter), which is observationally irrelevant for the
+        same reasons as the numpy resolver: frame maps compare as dicts and
+        events are drained in process-registration order.  The returned dict is reused across rounds -- every
         trace-recording path copies what it keeps.
         """
         idx_of = self._idx_of
@@ -969,15 +601,9 @@ class Simulator:
                             receptions[vertex_of[nbs[eid]]] = frame
             return receptions
 
-        if self._has_unreliable:
-            if self._sched_mask_key is None:
-                # No cross-instance delta identity (exotic scheduler): the
-                # mask decode would rebuild per round, so the pinned vector
-                # resolver is the better kernel here.
-                return self._resolve_receptions_vector(round_number, transmissions)
-            scheduled_mask = self._scheduled_edge_mask(round_number)
-        else:
-            scheduled_mask = 0
+        scheduled_mask = (
+            self._scheduled_edge_mask(round_number) if self._has_unreliable else 0
+        )
 
         bit = self._v_bit
         gmasks = self._g_vmasks
@@ -1030,21 +656,25 @@ class Simulator:
     def _scheduled_edge_mask(self, round_number: int) -> int:
         """The round's scheduled unreliable edges as one edge-id bitmask.
 
-        Decoded once per ``(delta identity, round)`` process-wide (see
-        :data:`_SCHED_MASK_CACHE`); bit ``eid`` is set iff edge ``eid`` is
-        scheduled this round, so ``mask & incident_mask[i]`` is transmitter
-        ``i``'s scheduled unreliable edges in one C-level AND.
+        Bit ``eid`` is set iff edge ``eid`` is scheduled this round, so
+        ``mask & incident_mask[i]`` is transmitter ``i``'s scheduled
+        unreliable edges in one C-level AND.  Decoded once per ``(delta
+        identity, round)`` process-wide (see :data:`_SCHED_MASK_CACHE`);
+        schedulers without a delta cache key get a fresh decode per round.
         """
-        key = (self._sched_mask_key, round_number)
-        mask = _SCHED_MASK_CACHE.get(key)
-        if mask is None:
-            buf = bytearray(self._u_mask_bytes)
-            for eid in self._scheduler.unreliable_edge_ids_for_round(round_number):
-                buf[eid >> 3] |= 1 << (eid & 7)
-            mask = int.from_bytes(buf, "little")
-            if len(_SCHED_MASK_CACHE) >= _SCHED_MASK_CACHE_MAXSIZE:
-                del _SCHED_MASK_CACHE[next(iter(_SCHED_MASK_CACHE))]
-            _SCHED_MASK_CACHE[key] = mask
+        key = self._sched_mask_key
+        if key is not None:
+            mask = _SCHED_MASK_CACHE.get((key, round_number))
+            if mask is not None:
+                return mask
+        buf = bytearray(self._u_mask_bytes)
+        for eid in self._scheduler.unreliable_edge_ids_for_round(round_number):
+            buf[eid >> 3] |= 1 << (eid & 7)
+        mask = int.from_bytes(buf, "little")
+        if key is not None:
+            fifo_insert(
+                _SCHED_MASK_CACHE, (key, round_number), mask, _SCHED_MASK_CACHE_MAXSIZE
+            )
         return mask
 
     #: Transmitter count below which the numpy backend routes a round through
@@ -1064,13 +694,13 @@ class Simulator:
         precomputed neighbor-index arrays, matching sender ids one ``repeat``
         of the transmitter ids by row length, collision counts one
         ``bincount``, and the winners one boolean reduction -- no per-edge
-        Python work for reliable edges.  Unreliable edges keep the vector
-        path's per-transmitter frozenset intersection with the round's
-        scheduled delta (the sets are tiny and already precomputed; crossing
-        them into numpy per round costs more than it saves).
+        Python work for reliable edges.  Unreliable edges use a
+        per-transmitter frozenset intersection with the round's scheduled
+        delta (the sets are tiny and already precomputed; crossing them into
+        numpy per round costs more than it saves).
 
-        The receptions *dict insertion order* differs from the vector path
-        (ascending vertex index rather than first-touch), which is
+        The receptions *dict insertion order* differs from the generic
+        resolver's (ascending vertex index), which is
         observationally irrelevant: frame maps compare as dicts, events are
         drained in process-registration order, and each member handles at
         most one reception per round.  The sender scratch buffer carries
@@ -1126,119 +756,6 @@ class Simulator:
                 single_senders = sender_buf[singles].tolist()
                 for j, s in zip(singles.tolist(), single_senders):
                     receptions[vertex_of[j]] = transmissions[vertex_of[s]]
-        return receptions
-
-    def _resolve_receptions_vector(
-        self, round_number: int, transmissions: Dict[Vertex, Any]
-    ) -> Dict[Vertex, Any]:
-        """The vectorized collision-rule resolver (see module docstring).
-
-        Semantically identical to :meth:`_resolve_receptions_fast`, but the
-        per-(transmitter, neighbor) Python work is replaced by bulk C-level
-        operations over flat precomputed structures:
-
-        * candidate receivers are collected by extending one list with each
-          transmitter's precomputed CSR neighbor slice (reliable edges never
-          consult the scheduler);
-        * last-transmitter ids are bulk-filled per slice with
-          ``dict.fromkeys(slice, transmitter)`` -- unambiguous wherever the
-          collision count ends up exactly 1;
-        * scheduled unreliable edges come from one frozenset intersection per
-          transmitter between the round's delta set and the transmitter's
-          precomputed incident-edge-id set;
-        * collision counters are one ``Counter`` pass over the candidates.
-
-        First-touch candidate order matches the point-query resolver exactly
-        (reliable slices in transmitter order, then scheduled unreliable
-        edges in ascending edge id per transmitter), so the receptions dict
-        is built in the same insertion order and traces stay byte-identical.
-        """
-        idx_of = self._idx_of
-        vertex_of = self._vertex_of
-        rows = self._g_neighbors
-        tx = self._tx_flags
-        fromkeys = dict.fromkeys
-
-        tx_indices = [idx_of[vertex] for vertex in transmissions]
-        for i in tx_indices:
-            tx[i] = 1
-
-        touched: List[int] = []
-        extend = touched.extend
-        sender: Dict[int, int] = {}
-        fill = sender.update
-        for i in tx_indices:
-            row = rows[i]
-            if row:
-                extend(row)
-                fill(fromkeys(row, i))
-
-        if self._has_unreliable:
-            scheduled = self._scheduler.unreliable_edge_id_set_for_round(round_number)
-            if scheduled:
-                incident = self._u_incident
-                neighbor_of = self._u_neighbor_of
-                for i in tx_indices:
-                    hit = scheduled & incident[i]
-                    if hit:
-                        nbs = neighbor_of[i]
-                        js = [nbs[eid] for eid in sorted(hit)]
-                        extend(js)
-                        fill(fromkeys(js, i))
-
-        receptions: Dict[Vertex, Any] = {}
-        if touched:
-            for j, count in Counter(touched).items():
-                if count == 1 and not tx[j]:
-                    receptions[vertex_of[j]] = transmissions[vertex_of[sender[j]]]
-        for i in tx_indices:
-            tx[i] = 0
-        return receptions
-
-    def _resolve_receptions_fast(
-        self, round_number: int, transmissions: Dict[Vertex, Any]
-    ) -> Dict[Vertex, Any]:
-        idx_of = self._idx_of
-        vertex_of = self._vertex_of
-        g_neighbors = self._g_neighbors
-        tx = self._tx_flags
-        hits = self._hits
-        last_sender = self._last_sender
-        touched: List[int] = []
-
-        tx_indices = [idx_of[vertex] for vertex in transmissions]
-        for i in tx_indices:
-            tx[i] = 1
-
-        # Reliable edges: every transmitter bumps all its G-neighbors.
-        for i in tx_indices:
-            for j in g_neighbors[i]:
-                if not hits[j]:
-                    touched.append(j)
-                hits[j] += 1
-                last_sender[j] = i
-
-        # Unreliable edges: only those incident to a transmitter can carry or
-        # spoil a frame, so ask the scheduler about exactly those.  Each
-        # (transmitter, incident edge) pair is visited once; an edge between
-        # two transmitters is correctly counted at both endpoints.
-        u_adjacency = self._u_adjacency
-        included = self._scheduler.unreliable_edge_included
-        for i in tx_indices:
-            for j, eid in u_adjacency[i]:
-                if included(eid, round_number):
-                    if not hits[j]:
-                        touched.append(j)
-                    hits[j] += 1
-                    last_sender[j] = i
-
-        receptions: Dict[Vertex, Any] = {}
-        for j in touched:
-            if hits[j] == 1 and not tx[j]:
-                receptions[vertex_of[j]] = transmissions[vertex_of[last_sender[j]]]
-            hits[j] = 0
-        for i in tx_indices:
-            tx[i] = 0
         return receptions
 
     def _resolve_receptions_generic(

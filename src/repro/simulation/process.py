@@ -167,7 +167,10 @@ class Process(ABC):
         and then registers every member via ``driver.add_member(process)``.
         A driver exposes ``transmit_round(round_number, transmissions)`` and
         ``receive_round(round_number, receptions)``; both mutate/consume the
-        round-level dicts in place of the per-process hook calls.
+        round-level dicts in place of the per-process hook calls.  It also
+        exposes ``flush_kernel_state()``, which the engine calls at every
+        run boundary so deferred per-member state is settled whenever the
+        caller can observe it.
         """
         return None
 

@@ -1,23 +1,27 @@
-"""Determinism regression tests for the fast-path round engine.
+"""Determinism regression tests for the round engine.
 
-The engine has two reception resolvers -- the generic edge-set path (the seed
-implementation, kept for adaptive schedulers) and the indexed transmitter-
-centric fast path -- and two process stepping modes -- per-process and
-batched cohort drivers.  These tests pin the contract that made the
-optimizations safe to ship: for any fixed seed every resolver/stepping
-combination, and every :class:`TraceMode`, observes exactly the same
-execution; and the parallel sweep runner produces exactly the serial sweep's
-rows.
+The engine has two lanes: the **reference** lane (generic edge-set resolver,
+per-process stepping -- the Section 2 model written down directly) and the
+**kernel** lane (cohort drivers plus the python/numpy bitmask resolvers, the
+generic resolver for schedulers that need it, and a counters-only loop).
+The lane-identity matrix below pins the contract that makes the kernel lane
+safe to ship: for a fixed seed, every registered scheduler, both kernel
+backends, and both FULL and COUNTERS traces observe exactly the reference
+lane's execution -- including across graph mutation mid-run and chunked
+``run()`` calls.  The parallel sweep runner must produce exactly the serial
+sweep's rows.
 """
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
+import threading
 
 import pytest
 
 from repro import (
-    AntiScheduleAdversary,
     CollisionAdaptiveAdversary,
     DualGraph,
     FullInclusionScheduler,
@@ -25,15 +29,27 @@ from repro import (
     LBParams,
     NoUnreliableScheduler,
     PeriodicScheduler,
+    AntiScheduleAdversary,
     Simulator,
     TraceMode,
     TraceScheduler,
-    cluster_network,
     make_lb_processes,
     random_geographic_network,
 )
 from repro.analysis.sweep import ParallelSweepRunner, derive_point_seed, sweep
 from repro.core.local_broadcast import LocalBroadcastProcess
+from repro.scenarios import (
+    AlgorithmSpec,
+    EnvironmentSpec,
+    MetricSpec,
+    RunPolicy,
+    ScenarioSpec,
+    SchedulerSpec,
+    TopologySpec,
+)
+from repro.scenarios.registry import SCHEDULERS, TOPOLOGIES
+from repro.scenarios.runtime import materialize, run_trial
+from repro.scenarios.spec import ArrivalSpec, EngineConfig, TrafficSpec
 from repro.simulation.environment import SaturatingEnvironment, SingleShotEnvironment
 from repro.simulation.process import ProcessContext, SilentProcess
 
@@ -46,101 +62,192 @@ SCHEDULER_FACTORIES = {
 }
 
 
+def _have_numpy() -> bool:
+    try:
+        import numpy  # noqa: F401
+    except ImportError:
+        return False
+    return True
+
+
+KERNEL_BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy", marks=pytest.mark.skipif(not _have_numpy(), reason="numpy not installed")
+    ),
+]
+
+
+@pytest.fixture
+def backend(request, monkeypatch):
+    """Select the kernel backend the way an install does: the python kernel
+    runs when ``import numpy`` fails, so that leg blocks the import.  The
+    numpy leg sends every round through the numpy kernel -- the small
+    workloads here rarely reach the transmitter count below which numpy
+    installs route a round to the python kernel."""
+    if request.param == "python":
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    else:
+        monkeypatch.setattr(Simulator, "_NUMPY_MIN_TX", 1)
+    return request.param
+
+
 def _make_network():
     graph, _ = random_geographic_network(22, side=3.2, rng=41, require_connected=True)
     return graph
 
 
-def _build_simulator(
-    graph, fast_path, scheduler_key, trace_mode=TraceMode.FULL, vector_path=False
-):
-    params = LBParams.small_for_testing(
-        delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
-    )
-    rng = random.Random(99)
-    senders = sorted(graph.vertices)[:3]
-    simulator = Simulator(
-        graph,
-        make_lb_processes(graph, params, rng),
-        scheduler=SCHEDULER_FACTORIES[scheduler_key](graph),
-        environment=SingleShotEnvironment(senders=senders),
-        trace_mode=trace_mode,
-        fast_path=fast_path,
-        vector_path=vector_path,
-    )
-    return simulator, params
-
-
-class TestFastPathMatchesLegacy:
-    @pytest.mark.parametrize("resolver", ["point", "vector"])
-    @pytest.mark.parametrize("scheduler_key", sorted(SCHEDULER_FACTORIES))
-    def test_identical_traces_for_fixed_seed(self, scheduler_key, resolver):
-        graph = _make_network()
-        fast_sim, params = _build_simulator(
-            graph, True, scheduler_key, vector_path=(resolver == "vector")
+def _assert_identical_traces(trace_a, trace_b, rounds):
+    assert trace_a.num_rounds == trace_b.num_rounds == rounds
+    assert trace_a.events == trace_b.events
+    for round_number in range(1, rounds + 1):
+        assert trace_a.transmissions_in_round(
+            round_number
+        ) == trace_b.transmissions_in_round(round_number)
+        assert trace_a.receptions_in_round(round_number) == trace_b.receptions_in_round(
+            round_number
         )
-        legacy_sim, _ = _build_simulator(graph, False, scheduler_key)
-        assert fast_sim.uses_fast_path
-        assert fast_sim.uses_vector_path == (resolver == "vector")
-        assert not legacy_sim.uses_fast_path
 
-        rounds = 2 * params.phase_length
-        fast_trace = fast_sim.run(rounds)
-        legacy_trace = legacy_sim.run(rounds)
 
-        assert fast_trace.events == legacy_trace.events
-        for round_number in range(1, rounds + 1):
-            assert fast_trace.transmissions_in_round(
-                round_number
-            ) == legacy_trace.transmissions_in_round(round_number)
-            assert fast_trace.receptions_in_round(
-                round_number
-            ) == legacy_trace.receptions_in_round(round_number)
+def _assert_counters_match(counters_trace, full_trace):
+    """Aggregate-counter parity: all a COUNTERS-mode trace retains."""
+    assert counters_trace.events == ()
+    assert counters_trace.num_rounds == full_trace.num_rounds
+    assert counters_trace.event_counts == full_trace.event_counts
+    assert counters_trace.num_transmissions == full_trace.num_transmissions
+    assert counters_trace.num_receptions == full_trace.num_receptions
 
-    def test_adaptive_scheduler_falls_back_to_generic_path(self):
-        graph = _make_network()
-        params = LBParams.small_for_testing(
-            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+
+# ----------------------------------------------------------------------
+# the lane-identity matrix
+# ----------------------------------------------------------------------
+#: Workloads the matrix runs every scheduler under: cohort-stepped LBAlg on a
+#: geometric graph (seed reuse 1: every cohort bulk-decoded), on a cluster
+#: graph with seed reuse 3 (cohorts converge and share seeds mid-body), and
+#: a queued traffic workload (an environment that keeps the counters loop
+#: off).
+LANE_WORKLOADS = {
+    "saturating": dict(
+        topology=TopologySpec(
+            "random_geographic",
+            {"n": 22, "side": 3.2, "seed": 41, "require_connected": True},
+        ),
+        algorithm=AlgorithmSpec("lbalg", {"preset": "small"}),
+        environment=EnvironmentSpec(
+            "saturating", {"senders": {"select": "first", "count": 5}}
+        ),
+        run=RunPolicy(rounds=3, rounds_unit="phases", master_seed=71, seed_policy="fixed"),
+    ),
+    "reuse": dict(
+        topology=TopologySpec(
+            "cluster", {"clusters": 3, "cluster_size": 7, "cluster_spacing": 1.4, "seed": 31}
+        ),
+        algorithm=AlgorithmSpec("lbalg", {"preset": "small", "seed_reuse_phases": 3}),
+        environment=EnvironmentSpec(
+            "saturating", {"senders": {"select": "first", "count": 5}}
+        ),
+        run=RunPolicy(rounds=3, rounds_unit="phases", master_seed=71, seed_policy="fixed"),
+    ),
+    "queued": dict(
+        topology=TopologySpec("target_degree", {"target_delta": 8, "seed": 11}),
+        algorithm=AlgorithmSpec("lbalg", {"preset": "small"}),
+        environment=EnvironmentSpec("queued", {}),
+        run=RunPolicy(rounds=1, rounds_unit="tack", master_seed=7, seed_policy="fixed"),
+        metrics=(MetricSpec("queue"),),
+        traffic=TrafficSpec(arrival=ArrivalSpec("poisson", {"rate": 0.05}), sinks=(0,)),
+    ),
+}
+
+#: Schedulers whose topologies depend on the round's transmitters: the
+#: kernel lane resolves them with the generic resolver.
+GENERIC_RESOLVER_SCHEDULERS = {"adaptive_collision"}
+
+
+def _scheduler_spec(name: str, topology: TopologySpec) -> SchedulerSpec:
+    if name == "trace":
+        # The registry's sample schedule is empty; replay a schedule that
+        # actually switches this topology's unreliable edges on and off.
+        graph, _ = TOPOLOGIES.get(topology.name)(0, **topology.args)
+        edges = sorted(sorted(edge, key=repr) for edge in graph.unreliable_edges)
+        return SchedulerSpec("trace", {"schedule": [edges[0::2], edges[1::3], []]})
+    return SchedulerSpec(name, SCHEDULERS.sample_args(name))
+
+
+def _lane_spec(scheduler: str, workload: str, lane: str, trace_mode: TraceMode):
+    parts = dict(LANE_WORKLOADS[workload])
+    return ScenarioSpec(
+        name=f"lanes-{scheduler}-{workload}",
+        scheduler=_scheduler_spec(scheduler, parts["topology"]),
+        engine=EngineConfig(trace_mode=trace_mode.value, lane=lane),
+        **parts,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_trial(scheduler: str, workload: str):
+    trial = run_trial(_lane_spec(scheduler, workload, "reference", TraceMode.FULL), 0)
+    assert trial.simulator.lane == "reference"
+    return trial
+
+
+@pytest.mark.parametrize("trace_mode", [TraceMode.FULL, TraceMode.COUNTERS], ids=str)
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
+@pytest.mark.parametrize("workload", sorted(LANE_WORKLOADS))
+@pytest.mark.parametrize("scheduler", SCHEDULERS.names())
+def test_kernel_lane_matches_reference(scheduler, workload, backend, trace_mode):
+    reference = _reference_trial(scheduler, workload)
+    trial = run_trial(_lane_spec(scheduler, workload, "kernel", trace_mode), 0)
+
+    resolver = "generic" if scheduler in GENERIC_RESOLVER_SCHEDULERS else backend
+    counters = trace_mode is TraceMode.COUNTERS and workload != "queued"
+    assert trial.simulator.lane == ("counters-" if counters else "") + f"kernel-{resolver}"
+    assert trial.simulator.uses_batch_stepping
+
+    if trace_mode is TraceMode.FULL:
+        _assert_identical_traces(trial.trace, reference.trace, reference.rounds)
+    else:
+        _assert_counters_match(trial.trace, reference.trace)
+    assert trial.metric_row == reference.metric_row
+
+
+class MutatingEnvironment(SaturatingEnvironment):
+    """Adds an unreliable edge partway through a single run() call."""
+
+    def __init__(self, graph, senders):
+        super().__init__(senders=senders)
+        self._graph_ref = graph
+
+    def inputs_for_round(self, round_number):
+        if round_number == 5:
+            self._graph_ref.add_unreliable_edge(0, 3)
+        return super().inputs_for_round(round_number)
+
+
+class TestLaneIdentityUnderChange:
+    """Kernel-lane state that outlives one round -- the index view, cohort
+    buffers, deferred stream skips -- must track mutation and run splits."""
+
+    def _mutating_run(self, lane):
+        graph = DualGraph(
+            [0, 1, 2, 3],
+            reliable_edges=[(0, 1), (1, 2)],
+            unreliable_edges=[(2, 3)],
         )
+        params = LBParams.small_for_testing(delta=4, delta_prime=4)
         simulator = Simulator(
             graph,
-            make_lb_processes(graph, params, random.Random(1)),
-            scheduler=CollisionAdaptiveAdversary(graph),
+            make_lb_processes(graph, params, random.Random(17)),
+            scheduler=IIDScheduler(graph, probability=0.6, seed=3),
+            environment=MutatingEnvironment(graph, senders=[0, 2]),
+            lane=lane,
         )
-        # vector_path defaults to True, but an adaptive scheduler disables the
-        # whole fast path, vectorized resolution included.
-        assert not simulator.uses_fast_path
-        assert not simulator.uses_vector_path
-        simulator.run(params.phase_length)  # runs without error
+        return simulator.run(2 * params.phase_length), 2 * params.phase_length
 
-    def test_vector_resolver_matches_generic_under_adaptive_fallback(self):
-        """Requesting the vector path against an adaptive adversary must not
-        change the execution: both engines land on the generic resolver."""
-
-        def run_one(vector_path):
-            graph = _make_network()
-            params = LBParams.small_for_testing(
-                delta=graph.max_reliable_degree,
-                delta_prime=graph.max_potential_degree,
-            )
-            simulator = Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(12)),
-                scheduler=CollisionAdaptiveAdversary(graph),
-                environment=SingleShotEnvironment(senders=sorted(graph.vertices)[:3]),
-                fast_path=True,
-                vector_path=vector_path,
-            )
-            assert not simulator.uses_vector_path
-            return simulator.run(2 * params.phase_length)
-
-        requested = run_one(True)
-        reference = run_one(False)
-        assert requested.events == reference.events
-        for round_number in range(1, requested.num_rounds + 1):
-            assert requested.receptions_in_round(
-                round_number
-            ) == reference.receptions_in_round(round_number)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
+    def test_graph_mutation_mid_run(self, backend):
+        kernel_trace, rounds = self._mutating_run("kernel")
+        reference_trace, _ = self._mutating_run("reference")
+        _assert_identical_traces(kernel_trace, reference_trace, rounds)
 
     def test_graph_mutation_between_runs_rebinds_index(self):
         graph = DualGraph([0, 1, 2, 3], reliable_edges=[(0, 1), (1, 2)])
@@ -156,56 +263,41 @@ class TestFastPathMatchesLegacy:
         simulator.run(3)  # must pick up the new edge without error
         assert simulator.trace.num_rounds == 6
 
-    def test_graph_mutation_mid_run_stays_identical_to_generic(self):
-        class MutatingEnvironment(SaturatingEnvironment):
-            """Adds an unreliable edge partway through a single run() call."""
-
-            def __init__(self, graph, senders):
-                super().__init__(senders=senders)
-                self._graph_ref = graph
-
-            def inputs_for_round(self, round_number):
-                if round_number == 5:
-                    self._graph_ref.add_unreliable_edge(0, 3)
-                return super().inputs_for_round(round_number)
-
-        def run_one(fast_path, vector_path=False):
-            graph = DualGraph(
-                [0, 1, 2, 3],
-                reliable_edges=[(0, 1), (1, 2)],
-                unreliable_edges=[(2, 3)],
-            )
-            params = LBParams.small_for_testing(delta=4, delta_prime=4)
-            simulator = Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(17)),
-                scheduler=IIDScheduler(graph, probability=0.6, seed=3),
-                environment=MutatingEnvironment(graph, senders=[0, 2]),
-                fast_path=fast_path,
-                vector_path=vector_path,
-            )
-            return simulator.run(2 * params.phase_length)
-
-        fast_trace = run_one(True)
-        vector_trace = run_one(True, vector_path=True)
-        legacy_trace = run_one(False)
-        assert fast_trace.events == legacy_trace.events
-        assert vector_trace.events == legacy_trace.events
-        for round_number in range(1, fast_trace.num_rounds + 1):
-            assert fast_trace.receptions_in_round(
-                round_number
-            ) == legacy_trace.receptions_in_round(round_number)
-            assert vector_trace.receptions_in_round(
-                round_number
-            ) == legacy_trace.receptions_in_round(round_number)
+    @pytest.mark.parametrize("trace_mode", [TraceMode.FULL, TraceMode.COUNTERS], ids=str)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
+    def test_chunked_runs_resume_identically(self, backend, trace_mode):
+        """Split kernel runs (chunks ending mid-body, so cohort buffers and
+        deferred skips must flush at every boundary) equal one reference run."""
+        built = materialize(_lane_spec("iid", "reuse", "kernel", trace_mode), 0)
+        rounds = built.total_rounds
+        chunk = built.params.phase_length // 2
+        done = 0
+        while done < rounds:
+            step = min(chunk, rounds - done)
+            split_trace = built.simulator.run(step)
+            done += step
+        reference = _reference_trial("iid", "reuse")
+        if trace_mode is TraceMode.FULL:
+            _assert_identical_traces(split_trace, reference.trace, rounds)
+        else:
+            _assert_counters_match(split_trace, reference.trace)
 
 
 class TestTraceModes:
-    def _run(self, trace_mode, fast_path=True):
+    def _run(self, trace_mode, lane="kernel"):
         graph = _make_network()
-        simulator, params = _build_simulator(graph, fast_path, "iid", trace_mode)
-        trace = simulator.run(2 * params.phase_length)
-        return trace
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        simulator = Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(99)),
+            scheduler=IIDScheduler(graph, probability=0.4, seed=13),
+            environment=SingleShotEnvironment(senders=sorted(graph.vertices)[:3]),
+            trace_mode=trace_mode,
+            lane=lane,
+        )
+        return simulator.run(2 * params.phase_length)
 
     def test_events_mode_keeps_events_drops_frames(self):
         full = self._run(TraceMode.FULL)
@@ -216,42 +308,152 @@ class TestTraceModes:
         assert events_only.num_receptions == full.num_receptions
 
     def test_counters_mode_keeps_only_counters(self):
-        full = self._run(TraceMode.FULL)
-        counters = self._run(TraceMode.COUNTERS)
-        assert counters.events == ()
-        assert counters.event_counts == full.event_counts
-        assert counters.num_transmissions == full.num_transmissions
-        assert counters.num_receptions == full.num_receptions
-        assert counters.num_rounds == full.num_rounds
+        _assert_counters_match(self._run(TraceMode.COUNTERS), self._run(TraceMode.FULL))
 
-    def test_counters_agree_between_paths(self):
-        fast = self._run(TraceMode.COUNTERS, fast_path=True)
-        legacy = self._run(TraceMode.COUNTERS, fast_path=False)
-        assert fast.event_counts == legacy.event_counts
-        assert fast.num_transmissions == legacy.num_transmissions
-        assert fast.num_receptions == legacy.num_receptions
+    def test_counters_agree_between_lanes(self):
+        kernel = self._run(TraceMode.COUNTERS)
+        reference = self._run(TraceMode.COUNTERS, lane="reference")
+        assert kernel.event_counts == reference.event_counts
+        assert kernel.num_transmissions == reference.num_transmissions
+        assert kernel.num_receptions == reference.num_receptions
 
-    def test_legacy_record_frames_flag_maps_to_events_mode_and_warns(self):
-        graph = _make_network()
+
+class TestLaneSelection:
+    def _build(self, graph, scheduler=None, lane="kernel", trace_mode=TraceMode.FULL):
         params = LBParams.small_for_testing(
             delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
         )
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            simulator = Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(3)),
-                record_frames=False,
-            )
-        assert simulator.trace.mode is TraceMode.EVENTS
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            simulator = Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(3)),
-                record_frames=True,
-            )
-        assert simulator.trace.mode is TraceMode.FULL
+        return Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(71)),
+            scheduler=scheduler,
+            environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
+            trace_mode=trace_mode,
+            lane=lane,
+        )
+
+    def test_unknown_lane_is_rejected(self):
+        with pytest.raises(ValueError, match="lane"):
+            self._build(_make_network(), lane="vector")
+
+    def test_reference_lane_steps_every_process(self):
+        simulator = self._build(_make_network(), lane="reference")
+        assert simulator.lane == "reference"
+        assert not simulator.uses_batch_stepping
+        assert simulator.kernel_backend is None
+        assert simulator.lane_fallback == "lane 'reference' requested"
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS, indirect=True)
+    def test_backend_follows_numpy_importability(self, backend):
+        simulator = self._build(_make_network())
+        assert simulator.kernel_backend == backend
+        assert simulator.lane == f"kernel-{backend}"
+
+    def test_adaptive_scheduler_keeps_generic_resolver_and_says_why(self):
+        graph = _make_network()
+        simulator = self._build(graph, scheduler=CollisionAdaptiveAdversary(graph))
+        assert simulator.lane == "kernel-generic"
+        assert simulator.kernel_backend is None
+        assert simulator.uses_batch_stepping
+        assert "CollisionAdaptiveAdversary is adaptive" in simulator.lane_fallback
+
+    def test_resolve_topology_override_keeps_generic_resolver(self):
+        class Custom(IIDScheduler):
+            def resolve_topology(self, round_number, transmitting):
+                return super().resolve_topology(round_number, transmitting)
+
+        graph = _make_network()
+        simulator = self._build(graph, scheduler=Custom(graph, probability=0.5, seed=1))
+        assert simulator.lane == "kernel-generic"
+        assert simulator.lane_fallback == "scheduler Custom overrides resolve_topology"
+
+    def test_counters_lane_engages_only_for_counters_traces(self):
+        graph = _make_network()
+        counters = self._build(graph, trace_mode=TraceMode.COUNTERS)
+        assert counters.uses_counters_lane and counters.lane_fallback is None
+        full = self._build(graph, trace_mode=TraceMode.FULL)
+        assert not full.uses_counters_lane
+        assert full.lane_fallback == "trace mode is 'full' (the counters lane needs 'counters')"
 
 
+# ----------------------------------------------------------------------
+# batched cohort stepping
+# ----------------------------------------------------------------------
+class TestBatchedStepping:
+    def test_cohort_decisions_are_shared(self):
+        graph, _ = random_geographic_network(26, side=3.4, rng=23, require_connected=True)
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+        simulator = Simulator(
+            graph,
+            make_lb_processes(graph, params, random.Random(71)),
+            scheduler=IIDScheduler(graph, probability=0.5, seed=7),
+            environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
+        )
+        simulator.run(3 * params.phase_length)
+        (driver,) = simulator.batch_drivers
+        tracker = driver.tracker
+        assert tracker.computed_decisions > 0
+        # Saturating senders on a connected network commit overlapping seeds,
+        # so at least some body-round decisions must have been cohort-shared.
+        assert tracker.shared_decisions > 0
+
+    def test_mixed_population_batches_only_groupable_processes(self):
+        graph, _ = random_geographic_network(26, side=3.4, rng=23, require_connected=True)
+        params = LBParams.small_for_testing(
+            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
+        )
+
+        def build(lane, trace_mode=TraceMode.FULL):
+            rng = random.Random(5)
+            processes = {}
+            silent = sorted(graph.vertices)[-3:]
+            for vertex in sorted(graph.vertices, key=repr):
+                ctx = ProcessContext(
+                    vertex=vertex,
+                    delta=max(graph.max_reliable_degree, params.delta),
+                    delta_prime=max(graph.max_potential_degree, params.delta_prime),
+                    rng=random.Random(rng.getrandbits(64)),
+                )
+                if vertex in silent:
+                    processes[vertex] = SilentProcess(ctx)
+                else:
+                    processes[vertex] = LocalBroadcastProcess(ctx, params)
+            return Simulator(
+                graph,
+                processes,
+                scheduler=IIDScheduler(graph, probability=0.5, seed=11),
+                environment=SingleShotEnvironment(senders=sorted(graph.vertices)[:3]),
+                trace_mode=trace_mode,
+                lane=lane,
+            )
+
+        batched_sim = build("kernel")
+        (driver,) = batched_sim.batch_drivers
+        assert len(driver.members) == graph.n - 3
+        counters_sim = build("kernel", TraceMode.COUNTERS)
+        assert not counters_sim.uses_counters_lane
+        assert counters_sim.lane_fallback == "3 process(es) stepped outside batch groups"
+
+        rounds = 3 * params.phase_length
+        reference_trace = build("reference").run(rounds)
+        _assert_identical_traces(batched_sim.run(rounds), reference_trace, rounds)
+        _assert_counters_match(counters_sim.run(rounds), reference_trace)
+
+    def test_subclasses_are_never_batched(self):
+        class TweakedLB(LocalBroadcastProcess):
+            pass
+
+        ctx = ProcessContext(vertex=0, delta=4, delta_prime=4)
+        params = LBParams.small_for_testing(delta=4, delta_prime=4)
+        assert TweakedLB(ctx, params).batch_group_key() is None
+        assert LocalBroadcastProcess(ctx.child(), params).batch_group_key() is not None
+
+
+# ----------------------------------------------------------------------
+# scheduler delta interface and caches
+# ----------------------------------------------------------------------
 class TestSchedulerDeltaInterface:
     @pytest.mark.parametrize("scheduler_key", sorted(SCHEDULER_FACTORIES))
     def test_edge_ids_match_edge_sets(self, scheduler_key):
@@ -407,6 +609,42 @@ class TestSchedulerDeltaCache:
         for t, ids in reference.items():
             assert fresh.unreliable_edge_ids_for_round(t) == ids
 
+    def test_concurrent_stores_under_eviction_never_fail(self):
+        """Two threads storing into one tiny cache used to race in the FIFO
+        eviction: both picked the same oldest key and the loser's pop raised
+        KeyError (a failed service job).  Inserts are now lock-guarded."""
+        from repro import SchedulerDeltaCache
+
+        cache = SchedulerDeltaCache(maxsize=2)
+        errors = []
+        workers = 4
+        start = threading.Barrier(workers)
+
+        def hammer(worker):
+            start.wait()
+            try:
+                for round_number in range(10000):
+                    cache.store(worker, round_number, ())
+                    cache.store_set(worker, round_number, frozenset())
+            except Exception as error:  # pragma: no cover - the regression
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(w,)) for w in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= 2
+
     def test_detached_cache_disables_sharing(self):
         from repro import SchedulerDeltaCache
 
@@ -485,340 +723,6 @@ class TestTopologyIndex:
         assert second.g_neighbors[1] != first.g_neighbors[1]
 
 
-# ----------------------------------------------------------------------
-# batched cohort stepping
-# ----------------------------------------------------------------------
-def _assert_identical_traces(trace_a, trace_b, rounds):
-    assert trace_a.events == trace_b.events
-    for round_number in range(1, rounds + 1):
-        assert trace_a.transmissions_in_round(
-            round_number
-        ) == trace_b.transmissions_in_round(round_number)
-        assert trace_a.receptions_in_round(round_number) == trace_b.receptions_in_round(
-            round_number
-        )
-
-
-GRAPH_FACTORIES = {
-    "geometric": lambda: random_geographic_network(
-        26, side=3.4, rng=23, require_connected=True
-    )[0],
-    "regions": lambda: cluster_network(
-        clusters=3, cluster_size=7, cluster_spacing=1.4, rng=31
-    )[0],
-}
-
-
-class TestBatchedStepping:
-    def _build(self, graph, batch_path, reuse=1, fast_path=None, vector_path=False):
-        params = LBParams.small_for_testing(
-            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
-        )
-        simulator = Simulator(
-            graph,
-            make_lb_processes(
-                graph, params, random.Random(71), seed_reuse_phases=reuse
-            ),
-            scheduler=IIDScheduler(graph, probability=0.5, seed=7),
-            environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
-            fast_path=batch_path if fast_path is None else fast_path,
-            vector_path=vector_path,
-            batch_path=batch_path,
-        )
-        return simulator, params
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    @pytest.mark.parametrize("reuse", [1, 2, 3])
-    def test_batched_identical_to_generic_path(self, graph_kind, reuse):
-        """Batched engine vs the seed engine, incl. seed_reuse_phases > 1."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        batched_sim, params = self._build(graph, True, reuse=reuse)
-        generic_sim, _ = self._build(graph, False, reuse=reuse)
-        assert batched_sim.uses_batch_stepping
-        assert not generic_sim.uses_batch_stepping and not generic_sim.uses_fast_path
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(
-            batched_sim.run(rounds), generic_sim.run(rounds), rounds
-        )
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    @pytest.mark.parametrize("reuse", [1, 2, 3])
-    def test_vectorized_identical_to_generic_path(self, graph_kind, reuse):
-        """The full production stack (vector resolver + batched stepping) vs
-        the seed engine, over geometric and region graphs and every seed
-        reuse factor."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        vector_sim, params = self._build(graph, True, reuse=reuse, vector_path=True)
-        generic_sim, _ = self._build(graph, False, reuse=reuse)
-        assert vector_sim.uses_vector_path and vector_sim.uses_batch_stepping
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(
-            vector_sim.run(rounds), generic_sim.run(rounds), rounds
-        )
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    def test_vectorized_identical_to_point_query_resolver(self, graph_kind):
-        """Vector resolver vs the PR-2 point-query resolver, batched stepping
-        on both sides, so the only difference is reception resolution."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        vector_sim, params = self._build(graph, True, vector_path=True)
-        point_sim, _ = self._build(graph, True, vector_path=False)
-        assert vector_sim.uses_vector_path
-        assert point_sim.uses_fast_path and not point_sim.uses_vector_path
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(vector_sim.run(rounds), point_sim.run(rounds), rounds)
-
-    def test_batched_identical_to_per_process_fast_path(self):
-        graph = GRAPH_FACTORIES["geometric"]()
-        batched_sim, params = self._build(graph, True)
-        fast_sim, _ = self._build(graph, False, fast_path=True)
-        assert fast_sim.uses_fast_path and not fast_sim.uses_batch_stepping
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(batched_sim.run(rounds), fast_sim.run(rounds), rounds)
-
-    def test_cohort_decisions_are_shared(self):
-        graph = GRAPH_FACTORIES["geometric"]()
-        simulator, params = self._build(graph, True)
-        simulator.run(3 * params.phase_length)
-        (driver,) = simulator.batch_drivers
-        tracker = driver.tracker
-        assert tracker.computed_decisions > 0
-        # Saturating senders on a connected network commit overlapping seeds,
-        # so at least some body-round decisions must have been cohort-shared.
-        assert tracker.shared_decisions > 0
-
-    def test_mixed_population_batches_only_groupable_processes(self):
-        graph = GRAPH_FACTORIES["geometric"]()
-        params = LBParams.small_for_testing(
-            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
-        )
-
-        def build(batch_path):
-            rng = random.Random(5)
-            processes = {}
-            silent = sorted(graph.vertices)[-3:]
-            for vertex in sorted(graph.vertices, key=repr):
-                ctx = ProcessContext(
-                    vertex=vertex,
-                    delta=max(graph.max_reliable_degree, params.delta),
-                    delta_prime=max(graph.max_potential_degree, params.delta_prime),
-                    rng=random.Random(rng.getrandbits(64)),
-                )
-                if vertex in silent:
-                    processes[vertex] = SilentProcess(ctx)
-                else:
-                    processes[vertex] = LocalBroadcastProcess(ctx, params)
-            return Simulator(
-                graph,
-                processes,
-                scheduler=IIDScheduler(graph, probability=0.5, seed=11),
-                environment=SingleShotEnvironment(senders=sorted(graph.vertices)[:3]),
-                batch_path=batch_path,
-                fast_path=batch_path,
-            )
-
-        batched_sim = build(True)
-        generic_sim = build(False)
-        assert batched_sim.uses_batch_stepping
-        (driver,) = batched_sim.batch_drivers
-        assert len(driver.members) == graph.n - 3
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(
-            batched_sim.run(rounds), generic_sim.run(rounds), rounds
-        )
-
-    def test_subclasses_are_never_batched(self):
-        class TweakedLB(LocalBroadcastProcess):
-            pass
-
-        ctx = ProcessContext(vertex=0, delta=4, delta_prime=4)
-        params = LBParams.small_for_testing(delta=4, delta_prime=4)
-        assert TweakedLB(ctx, params).batch_group_key() is None
-        assert LocalBroadcastProcess(ctx.child(), params).batch_group_key() is not None
-
-    @pytest.mark.parametrize("trace_mode", list(TraceMode))
-    def test_trace_modes_under_batching(self, trace_mode):
-        graph = GRAPH_FACTORIES["geometric"]()
-        params = LBParams.small_for_testing(
-            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
-        )
-
-        def build(batch_path, mode):
-            return Simulator(
-                graph,
-                make_lb_processes(graph, params, random.Random(9)),
-                scheduler=IIDScheduler(graph, probability=0.4, seed=9),
-                environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:4]),
-                trace_mode=mode,
-                batch_path=batch_path,
-            )
-
-        rounds = 2 * params.phase_length
-        batched = build(True, trace_mode).run(rounds)
-        reference = build(False, TraceMode.FULL).run(rounds)
-        assert batched.event_counts == reference.event_counts
-        assert batched.num_transmissions == reference.num_transmissions
-        assert batched.num_receptions == reference.num_receptions
-
-
-def _have_numpy() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-KERNEL_BACKENDS = [
-    "python",
-    pytest.param(
-        "numpy", marks=pytest.mark.skipif(not _have_numpy(), reason="numpy not installed")
-    ),
-]
-
-
-class TestKernelLane:
-    """PR-6 array-kernel lanes: byte-identity, backend selection, fallback,
-    and the counters-only fast lane."""
-
-    def _build(
-        self,
-        graph,
-        kernel,
-        reuse=1,
-        trace_mode=TraceMode.FULL,
-        fast_path=True,
-        vector_path=True,
-        scheduler=None,
-    ):
-        params = LBParams.small_for_testing(
-            delta=graph.max_reliable_degree, delta_prime=graph.max_potential_degree
-        )
-        simulator = Simulator(
-            graph,
-            make_lb_processes(
-                graph, params, random.Random(71), seed_reuse_phases=reuse
-            ),
-            scheduler=(
-                IIDScheduler(graph, probability=0.5, seed=7)
-                if scheduler is None
-                else scheduler
-            ),
-            environment=SaturatingEnvironment(senders=sorted(graph.vertices)[:5]),
-            trace_mode=trace_mode,
-            fast_path=fast_path,
-            vector_path=vector_path,
-            batch_path=fast_path,
-            kernel=kernel,
-        )
-        return simulator, params
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    @pytest.mark.parametrize("reuse", [1, 2, 3])
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_kernel_identical_to_vector_path(self, graph_kind, reuse, backend):
-        """Each kernel backend vs the pinned vector path, geometric and
-        region topologies, every seed reuse factor."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        kernel_sim, params = self._build(graph, backend, reuse=reuse)
-        vector_sim, _ = self._build(graph, "off", reuse=reuse)
-        assert kernel_sim.uses_kernel and kernel_sim.kernel_backend == backend
-        assert vector_sim.uses_vector_path and not vector_sim.uses_kernel
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(kernel_sim.run(rounds), vector_sim.run(rounds), rounds)
-
-    @pytest.mark.parametrize("graph_kind", sorted(GRAPH_FACTORIES))
-    def test_kernel_identical_to_generic_seed_engine(self, graph_kind):
-        """kernel="auto" (the production default) vs the seed engine."""
-        graph = GRAPH_FACTORIES[graph_kind]()
-        kernel_sim, params = self._build(graph, "auto")
-        generic_sim, _ = self._build(
-            graph, "off", fast_path=False, vector_path=False
-        )
-        assert kernel_sim.uses_kernel
-        assert kernel_sim.kernel_backend in ("python", "numpy")
-        assert not generic_sim.uses_fast_path
-
-        rounds = 3 * params.phase_length
-        _assert_identical_traces(
-            kernel_sim.run(rounds), generic_sim.run(rounds), rounds
-        )
-
-    def test_auto_backend_matches_availability(self):
-        graph = GRAPH_FACTORIES["geometric"]()
-        simulator, _ = self._build(graph, "auto")
-        expected = "numpy" if _have_numpy() else "python"
-        assert simulator.kernel_backend == expected
-
-    def test_adaptive_scheduler_disengages_kernel(self):
-        """An adaptive adversary disables the fast path and with it every
-        kernel lane; the requested backend must be silently ignored and the
-        execution must equal the generic engine's."""
-        graph = GRAPH_FACTORIES["geometric"]()
-        kernel_sim, params = self._build(
-            graph, "auto", scheduler=CollisionAdaptiveAdversary(graph)
-        )
-        generic_sim, _ = self._build(
-            graph,
-            "off",
-            fast_path=False,
-            vector_path=False,
-            scheduler=CollisionAdaptiveAdversary(graph),
-        )
-        assert not kernel_sim.uses_kernel
-        assert kernel_sim.kernel_backend is None
-        assert not kernel_sim.uses_counters_lane
-
-        rounds = 2 * params.phase_length
-        _assert_identical_traces(
-            kernel_sim.run(rounds), generic_sim.run(rounds), rounds
-        )
-
-    def test_counters_lane_engages_and_matches_full_reduction(self):
-        """The counters-only lane must produce exactly the counters a full
-        event trace reduces to (same event kinds, transmissions, receptions)."""
-        graph = GRAPH_FACTORIES["geometric"]()
-        counters_sim, params = self._build(
-            graph, "auto", trace_mode=TraceMode.COUNTERS
-        )
-        full_sim, _ = self._build(graph, "off", trace_mode=TraceMode.FULL)
-        assert counters_sim.uses_counters_lane
-
-        rounds = 3 * params.phase_length
-        counters_trace = counters_sim.run(rounds)
-        full_trace = full_sim.run(rounds)
-        assert counters_trace.num_rounds == full_trace.num_rounds
-        assert counters_trace.event_counts == full_trace.event_counts
-        assert counters_trace.num_transmissions == full_trace.num_transmissions
-        assert counters_trace.num_receptions == full_trace.num_receptions
-
-    def test_full_trace_mode_keeps_counters_lane_off(self):
-        graph = GRAPH_FACTORIES["geometric"]()
-        simulator, _ = self._build(graph, "auto", trace_mode=TraceMode.FULL)
-        assert simulator.uses_kernel
-        assert not simulator.uses_counters_lane
-
-    def test_chunked_runs_resume_identically(self):
-        """Kernel state (cohort buffers, deferred skips) must flush at run()
-        boundaries so split runs equal one continuous run."""
-        graph = GRAPH_FACTORIES["geometric"]()
-        whole_sim, params = self._build(graph, "auto")
-        split_sim, _ = self._build(graph, "auto")
-        rounds = 3 * params.phase_length
-        whole_trace = whole_sim.run(rounds)
-        chunk = params.phase_length // 2
-        done = 0
-        while done < rounds:
-            step = min(chunk, rounds - done)
-            split_trace = split_sim.run(step)
-            done += step
-        _assert_identical_traces(whole_trace, split_trace, rounds)
 
 
 class TestRoundHookSkipping:

@@ -204,31 +204,41 @@ class TestFingerprint:
             != spec.with_overrides({"topology.args.n": 15}).fingerprint()
         )
 
-    def test_kernel_field_round_trips_and_default_stays_out_of_identity(self):
-        """PR-6: ``engine.kernel`` serializes only when pinned away from
-        "auto", so every pre-kernel spec keeps its fingerprint; a pinned
-        backend round-trips through JSON like any other field."""
+    def test_lane_round_trips_and_default_stays_out_of_identity(self):
+        """``engine.lane`` serializes only when pinned away from "kernel";
+        the reference lane round-trips through JSON like any other field."""
         base = small_spec()
-        assert base.engine.kernel == "auto"
-        assert "kernel" not in base.engine.to_dict()
-        explicit_auto = base.with_overrides({"engine.kernel": "auto"})
-        assert explicit_auto == base
-        assert explicit_auto.fingerprint() == base.fingerprint()
+        assert base.engine.lane == "kernel"
+        assert base.engine.to_dict() == {"trace_mode": "full"}
+        explicit_default = base.with_overrides({"engine.lane": "kernel"})
+        assert explicit_default == base
+        assert explicit_default.fingerprint() == base.fingerprint()
 
-        pinned = base.with_overrides({"engine.kernel": "python"})
+        pinned = base.with_overrides({"engine.lane": "reference"})
+        assert pinned.engine.to_dict() == {"trace_mode": "full", "lane": "reference"}
         restored = ScenarioSpec.from_json(pinned.to_json())
-        assert restored == pinned and restored.engine.kernel == "python"
+        assert restored == pinned and restored.engine.lane == "reference"
         assert restored.fingerprint() == pinned.fingerprint()
         assert pinned.fingerprint() != base.fingerprint()
 
-        with pytest.raises(ValueError, match="kernel"):
-            EngineConfig(kernel="cuda")
+        with pytest.raises(ValueError, match="lane"):
+            EngineConfig(lane="vector")
 
-    def test_kernel_field_reaches_the_simulator(self):
-        off = materialize(small_spec(**{"engine.kernel": "off"})).simulator
-        assert not off.uses_kernel and off.kernel_backend is None
-        python = materialize(small_spec(**{"engine.kernel": "python"})).simulator
-        assert python.uses_kernel and python.kernel_backend == "python"
+    @pytest.mark.parametrize(
+        "key", ["fast_path", "vector_path", "batch_path", "kernel", "profile"]
+    )
+    def test_retired_engine_keys_point_at_engine_lane(self, key):
+        with pytest.raises(ValueError, match=r"engine\.lane") as error:
+            EngineConfig.from_dict({"trace_mode": "full", key: True})
+        assert key in str(error.value)
+        with pytest.raises(ValueError, match=r"engine\.lane"):
+            small_spec(**{f"engine.{key}": False})
+
+    def test_lane_reaches_the_simulator(self):
+        reference = materialize(small_spec(**{"engine.lane": "reference"})).simulator
+        assert reference.lane == "reference" and reference.kernel_backend is None
+        kernel = materialize(small_spec()).simulator
+        assert kernel.lane.startswith("kernel-") and kernel.uses_batch_stepping
 
 
 class TestRegistries:
@@ -306,9 +316,9 @@ class TestTraceIdentity:
             ) == hand_trace.receptions_in_round(round_number)
 
     def test_build_returns_configured_simulator(self):
-        spec = small_spec(**{"engine.vector_path": False, "engine.trace_mode": "events"})
+        spec = small_spec(**{"engine.lane": "reference", "engine.trace_mode": "events"})
         simulator = build(spec)
-        assert simulator.uses_fast_path and not simulator.uses_vector_path
+        assert simulator.lane == "reference"
         assert simulator.trace.mode is TraceMode.EVENTS
 
 
@@ -527,30 +537,6 @@ class TestCLI:
         assert "iid" in payload["scheduler"]
         assert "random_geographic" in payload["topology"]
         assert "single_shot" in payload["environment"]
-
-
-class TestDeprecations:
-    def test_build_lb_simulator_record_frames_warns(self):
-        from benchmarks.common import build_lb_simulator
-
-        graph, _ = random_geographic_network(10, side=3.0, rng=2, require_connected=True)
-        delta, delta_prime = graph.degree_bounds()
-        params = LBParams.small_for_testing(delta=delta, delta_prime=delta_prime)
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            simulator = build_lb_simulator(
-                graph,
-                params,
-                SingleShotEnvironment(senders=[0]),
-                record_frames=False,
-            )
-        assert simulator.trace.mode is TraceMode.EVENTS
-
-    def test_execution_trace_record_frames_warns(self):
-        from repro.simulation.trace import ExecutionTrace
-
-        with pytest.warns(DeprecationWarning, match="record_frames"):
-            trace = ExecutionTrace(record_frames=False)
-        assert trace.mode is TraceMode.EVENTS
 
 
 class TestBenchJobsParsing:

@@ -71,7 +71,7 @@ class TestKeying:
         base = store_scenario(name="a")
         renamed = dataclasses.replace(base, name="b", description="relabeled")
         lane = dataclasses.replace(
-            base, engine=EngineConfig(fast_path=False, batch_path=False, trace_mode="auto")
+            base, engine=EngineConfig(lane="reference", trace_mode="auto")
         )
         assert trial_key(base, 0) == trial_key(renamed, 0)
         assert trial_key(base, 0) == trial_key(lane, 0)

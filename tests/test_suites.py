@@ -249,18 +249,21 @@ class TestRunSuite:
         assert rows_warned == rows_silent
         assert warned.group_summaries == silent.group_summaries
 
-    def test_profile_perf_stats_survive_suite_workers(self):
+    def test_lane_report_survives_suite_workers(self):
         suite = SuiteSpec(
-            name="profiled",
+            name="lanes",
             entries=(
                 SuiteEntry(
-                    id="p",
-                    scenario=small_scenario("p").with_overrides({"engine.profile": True}),
+                    id="r",
+                    scenario=small_scenario("r").with_overrides(
+                        {"engine.lane": "reference"}
+                    ),
                 ),
             ),
         )
         report = run_suite(suite, jobs=1)
-        assert report.entries[0].result.perf_stats  # sections accumulated
+        perf = report.entries[0].result.perf_stats
+        assert perf == {"lane": "reference", "lane_fallback": "lane 'reference' requested"}
 
     def test_report_renders_table_markdown_and_json(self):
         report = run_suite(small_suite(), jobs=1)

@@ -28,7 +28,7 @@ import pytest
 from repro.dualgraph.generators import two_clusters_network
 from repro.scenarios.components import network_with_target_degree
 from repro.scenarios.registry import ENVIRONMENTS, SCHEDULERS
-from repro.scenarios.runtime import materialize, run, run_many, run_trial
+from repro.scenarios.runtime import materialize, run, run_many
 from repro.scenarios.spec import (
     AlgorithmSpec,
     ArrivalSpec,
@@ -386,55 +386,10 @@ class TestTrafficSpecSerialization:
 
 
 # ----------------------------------------------------------------------
-# execution: lane parity and serial/parallel identity
+# execution: serial/parallel identity (lane parity for queued workloads is
+# part of the lane-identity matrix in tests/test_fast_engine.py)
 # ----------------------------------------------------------------------
 class TestTrafficExecution:
-    def _events(self, engine: EngineConfig, scheduler="tasa", scheduler_args=None):
-        spec = _traffic_spec(
-            scheduler=scheduler, scheduler_args=scheduler_args, trials=1, engine=engine
-        )
-        trial = run_trial(spec, 0)
-        return trial.trace.events, trial.metric_row
-
-    @pytest.mark.parametrize(
-        "scheduler,scheduler_args",
-        [("tasa", None), ("longest_queue", None), ("iid", {"probability": 0.5})],
-    )
-    def test_engine_lane_parity_for_queued_workloads(self, scheduler, scheduler_args):
-        generic = self._events(
-            EngineConfig(fast_path=False, vector_path=False, batch_path=False),
-            scheduler,
-            scheduler_args,
-        )
-        fast = self._events(
-            EngineConfig(fast_path=True, vector_path=False, batch_path=False),
-            scheduler,
-            scheduler_args,
-        )
-        batched = self._events(
-            EngineConfig(fast_path=True, vector_path=False, batch_path=True),
-            scheduler,
-            scheduler_args,
-        )
-        vector = self._events(
-            EngineConfig(fast_path=True, vector_path=True, batch_path=True),
-            scheduler,
-            scheduler_args,
-        )
-        kernel_python = self._events(
-            EngineConfig(
-                fast_path=True, vector_path=True, batch_path=True, kernel="python"
-            ),
-            scheduler,
-            scheduler_args,
-        )
-        assert fast[0] == generic[0]
-        assert batched[0] == generic[0]
-        assert vector[0] == generic[0]
-        assert kernel_python[0] == generic[0]
-        for other in (fast, batched, vector, kernel_python):
-            assert other[1] == generic[1]
-
     def test_serial_and_parallel_run_many_rows_match(self):
         def strip_timing(rows):
             return [

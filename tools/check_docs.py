@@ -12,17 +12,23 @@ Scans ``docs/*.md`` and ``README.md`` for
   class body: methods, nested classes, class-level assignments, ``__slots__``
   entries, and ``self.attr`` assignments inside methods all count.
 
+It also checks that the README's engine throughput table is exactly the
+table rendered from the committed ``BENCH_engine.json``, so the quoted
+numbers cannot drift from the artifact that evidences them.
+
 Exit status is non-zero when anything dangles, with one line per problem --
 this is the CI docs job (see ``.github/workflows/ci.yml``).
 
 Run it directly::
 
     python tools/check_docs.py
+    python tools/check_docs.py --write-readme-table   # after bench_engine.py
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import re
 import sys
 from pathlib import Path
@@ -34,6 +40,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: anything else (e.g. the ``path/to/file.py:Symbol`` convention placeholder)
 #: is treated as illustrative.
 CHECKED_PREFIXES = ("src/", "tests/", "benchmarks/", "tools/", "examples/")
+
+#: The README block holding the engine table rendered from BENCH_engine.json.
+ENGINE_TABLE_BEGIN = (
+    "<!-- engine-table: generated from BENCH_engine.json by "
+    "`python tools/check_docs.py --write-readme-table` -->"
+)
+ENGINE_TABLE_END = "<!-- /engine-table -->"
 
 MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_REFERENCE = re.compile(r"`([\w./-]+\.py):([A-Za-z_][\w.]*)`")
@@ -167,7 +180,67 @@ def check_code_reference(doc: Path, path: str, symbol: str) -> Optional[str]:
     return None
 
 
-def main() -> int:
+def render_engine_table(report: dict) -> str:
+    """The README's engine throughput table for a ``bench_engine`` report."""
+    lines = [
+        "| n | Δ | unreliable edges | reference rounds/s | kernel rounds/s "
+        "| kernel counters rounds/s | kernel vs reference | counters vs reference |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    for row in sorted(report["workloads"], key=lambda row: row["n"]):
+        lines.append(
+            f"| {row['n']} | {row['delta']} | {row['unreliable_edges']} "
+            f"| {row['reference_rps']:.0f} | {row['kernel_rps']:.0f} "
+            f"| {row['kernel_counters_rps']:.0f} | {row['speedup_kernel']:.1f}× "
+            f"| {row['speedup_kernel_counters']:.1f}× |"
+        )
+    return "\n".join(lines)
+
+
+def _engine_table_span(readme: str) -> Optional[Tuple[int, int]]:
+    begin = readme.find(ENGINE_TABLE_BEGIN)
+    end = readme.find(ENGINE_TABLE_END)
+    if begin < 0 or end < begin:
+        return None
+    return begin + len(ENGINE_TABLE_BEGIN), end
+
+
+def _expected_engine_block() -> str:
+    with open(REPO_ROOT / "BENCH_engine.json") as handle:
+        report = json.load(handle)
+    return "\n" + render_engine_table(report) + "\n"
+
+
+def check_engine_table() -> Optional[str]:
+    readme = (REPO_ROOT / "README.md").read_text()
+    span = _engine_table_span(readme)
+    if span is None:
+        return "README.md: engine table markers are missing"
+    if readme[span[0] : span[1]] != _expected_engine_block():
+        return (
+            "README.md: engine table differs from BENCH_engine.json "
+            "(regenerate with `python tools/check_docs.py --write-readme-table`)"
+        )
+    return None
+
+
+def write_engine_table() -> None:
+    path = REPO_ROOT / "README.md"
+    readme = path.read_text()
+    span = _engine_table_span(readme)
+    if span is None:
+        raise SystemExit("README.md: engine table markers are missing")
+    path.write_text(readme[: span[0]] + _expected_engine_block() + readme[span[1] :])
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv == ["--write-readme-table"]:
+        write_engine_table()
+        return 0
+    if argv:
+        print(f"usage: {sys.argv[0]} [--write-readme-table]", file=sys.stderr)
+        return 2
     docs = doc_files()
     if not (REPO_ROOT / "docs").is_dir():
         print("FAIL: docs/ directory is missing", file=sys.stderr)
@@ -186,6 +259,9 @@ def main() -> int:
             problem = check_code_reference(doc, path, symbol)
             if problem:
                 problems.append(problem)
+    problem = check_engine_table()
+    if problem:
+        problems.append(problem)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     print(
