@@ -1,18 +1,20 @@
-"""Suite throughput benchmark: cold vs warm (result store) vs sharded runs.
+"""Suite throughput benchmark: cold vs warm vs resumed runs over the result store.
 
-This is the PR-7 performance yardstick for the content-addressed
-:class:`~repro.scenarios.store.ResultStore` and the sharded suite executor.
-It builds a synthetic seed-agreement suite (every trial is a standalone
-``SeedAlg`` run to completion -- cheap enough to benchmark, expensive enough
-that recomputation dominates store I/O) and times three executions:
+This is the performance yardstick for the content-addressed
+:class:`~repro.scenarios.store.ResultStore`, which is also how an
+interrupted suite resumes.  It builds a synthetic seed-agreement suite
+(every trial is a standalone ``SeedAlg`` run to completion -- cheap enough
+to benchmark, expensive enough that recomputation dominates store I/O) and
+times three executions:
 
 * **cold** -- a fresh store: every trial executes and is written back;
 * **warm** -- the same store again: every trial must be a cache hit
   (``store.misses == 0``) and the assembled metric rows must be
   *byte-identical* to the cold run's;
-* **sharded** -- the suite split ``1/2`` + ``2/2`` over a second fresh
-  store, merged via :func:`~repro.scenarios.suite.merge_reports`, whose
-  deterministic content must equal the unsharded report's.
+* **resumed** -- a second fresh store: a cold run stopped halfway through
+  its ``should_stop`` hook, then rerun on the same store.  The rerun must
+  execute exactly the tasks the stopped run left (``misses`` = remaining
+  tasks) and reproduce the cold report (``resume_identical``).
 
 The headline is ``warm_speedup = cold_s / warm_s``: how much faster a rerun
 is when every record is served from the store.  The committed baseline at
@@ -24,7 +26,8 @@ runs on the same host, so it is comparable across machines.
 The PR-10 ``fleet`` section benchmarks the multi-process work-stealing
 executor (:func:`~repro.scenarios.fleet.run_suite_fleet`) on a *skewed*
 workload -- one task modeled an order of magnitude heavier than the rest, the
-case where a fixed ``1/N`` shard split would straggle behind its heavy shard.
+case where a fixed ``1/N`` split of the task list would straggle behind its
+heavy slice.
 Per-task cost is modeled as blocking latency through the executor's
 ``task_runner`` seam and **both arms run the same executor** (``workers=1``
 vs ``workers=4``), so the ratio measures dispatch overlap and steal balance
@@ -62,15 +65,14 @@ from repro.scenarios import (
     RunPolicy,
     ScenarioSpec,
     SchedulerSpec,
+    SuiteCancelled,
     SuiteEntry,
     SuiteReport,
     SuiteSpec,
     TopologySpec,
     deterministic_report_dict,
-    merge_reports,
     run_suite,
     run_suite_fleet,
-    run_suite_shard,
 )
 from repro.scenarios.fleet import default_task_runner
 
@@ -155,7 +157,7 @@ def build_throughput_suite(quick: bool = False) -> SuiteSpec:
                 )
     return SuiteSpec(
         name="bench-suite-throughput",
-        description="synthetic grid exercising the result store and sharding",
+        description="synthetic grid exercising the result store and resumption",
         entries=tuple(entries),
     )
 
@@ -164,8 +166,8 @@ def build_skew_suite() -> SuiteSpec:
     """16 trivially-cheap tasks whose *modeled* costs are heavily skewed.
 
     Entry 0 carries :data:`SKEW_HEAVY_S`; the rest carry
-    :data:`SKEW_LIGHT_S`.  A static ``1/4`` shard split would leave the
-    heavy shard straggling ~2x behind; dynamic leases let the other workers
+    :data:`SKEW_LIGHT_S`.  A static ``1/4`` split would leave the heavy
+    slice straggling ~2x behind; dynamic leases let the other workers
     drain the light tail while one worker sits on the heavy task.
     """
     entries: List[SuiteEntry] = []
@@ -272,6 +274,41 @@ def _timed(fn) -> Tuple[Any, float]:
     return value, time.perf_counter() - start
 
 
+def run_resume_benchmark(
+    suite: SuiteSpec, store_dir: str, jobs: int, cold_det: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Stop a cold run halfway, rerun it on the same store, check the rerun.
+
+    The rerun must execute exactly the tasks the stopped run never reached
+    and assemble a report equal to the uninterrupted cold run's.
+    """
+    task_count = sum(entry.scenario.run.trials for entry in suite.entries)
+    halfway = task_count // 2
+    executed: List[Dict[str, Any]] = []
+    stopped = False
+    try:
+        run_suite(
+            suite,
+            jobs=jobs,
+            store=store_dir,
+            on_progress=lambda e: executed.append(e) if e["event"] == "task" else None,
+            should_stop=lambda: len(executed) >= halfway,
+        )
+    except SuiteCancelled:
+        stopped = True
+    resumed, resume_s = _timed(lambda: run_suite(suite, jobs=jobs, store=store_dir))
+    remaining = task_count - len(executed)
+    return {
+        "resume_stopped_after": len(executed),
+        "resume_s": resume_s,
+        "resume_hits": int(resumed.store_stats["hits"]),
+        "resume_misses": int(resumed.store_stats["misses"]),
+        "resume_identical": stopped
+        and resumed.store_stats["misses"] == remaining
+        and deterministic_report_dict(resumed.to_dict()) == cold_det,
+    }
+
+
 def run_benchmark(quick: bool = False, jobs: Optional[int] = None) -> Dict[str, Any]:
     if jobs is None:
         jobs = default_jobs()
@@ -284,16 +321,10 @@ def run_benchmark(quick: bool = False, jobs: Optional[int] = None) -> Dict[str, 
         cold, cold_s = _timed(lambda: run_suite(suite, jobs=jobs, store=store_dir))
         warm, warm_s = _timed(lambda: run_suite(suite, jobs=jobs, store=store_dir))
 
-        # Sharded run over a second fresh store: two shards, then merge.
-        shard_dir = os.path.join(workdir, "shard-store")
-        shard1, shard1_s = _timed(
-            lambda: run_suite_shard(suite, 1, 2, jobs=jobs, store=shard_dir)
-        )
-        shard2, shard2_s = _timed(
-            lambda: run_suite_shard(suite, 2, 2, jobs=jobs, store=shard_dir)
-        )
-        merged, merge_s = _timed(lambda: merge_reports(suite, [shard1, shard2]))
         cold_det = deterministic_report_dict(cold.to_dict())
+        resume = run_resume_benchmark(
+            suite, os.path.join(workdir, "resume-store"), jobs, cold_det
+        )
         fleet = run_fleet_benchmark(suite, workdir, cold_det)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -312,11 +343,7 @@ def run_benchmark(quick: bool = False, jobs: Optional[int] = None) -> Dict[str, 
         "warm_hits": int(warm.store_stats["hits"]),
         "warm_misses": int(warm.store_stats["misses"]),
         "rows_identical": _metric_rows_blob(cold) == _metric_rows_blob(warm),
-        "shard1_s": shard1_s,
-        "shard2_s": shard2_s,
-        "sharded_s": shard1_s + shard2_s,
-        "merge_s": merge_s,
-        "merge_identical": deterministic_report_dict(merged.to_dict()) == cold_det,
+        **resume,
         "target_warm_speedup": TARGET_WARM_SPEEDUP,
         "fleet": fleet,
     }
@@ -336,10 +363,13 @@ def render_table(report: Dict[str, Any]) -> str:
             "speedup_vs_cold": round(report["warm_speedup"], 1),
         },
         {
-            "mode": "sharded 2x (fresh store)",
-            "elapsed_s": round(report["sharded_s"], 4),
+            "mode": (
+                f"resumed (stopped after {report['resume_stopped_after']}, "
+                f"{report['resume_misses']} executed)"
+            ),
+            "elapsed_s": round(report["resume_s"], 4),
             "speedup_vs_cold": round(
-                report["cold_s"] / report["sharded_s"] if report["sharded_s"] else 0.0, 2
+                report["cold_s"] / report["resume_s"] if report["resume_s"] else 0.0, 2
             ),
         },
     ]
@@ -365,7 +395,7 @@ def render_table(report: Dict[str, Any]) -> str:
         f"(target >= {report['target_warm_speedup']:.0f}x); "
         f"warm misses={report['warm_misses']}, "
         f"rows identical={report['rows_identical']}, "
-        f"merged == unsharded: {report['merge_identical']}"
+        f"resumed == cold: {report['resume_identical']}"
     )
     if fleet:
         title += (
@@ -404,8 +434,11 @@ def main(argv=None) -> int:
         failures.append("warm rerun's metric rows differ from the cold run's")
     if report["warm_misses"] != 0:
         failures.append(f"warm rerun recomputed {report['warm_misses']} trial(s)")
-    if not report["merge_identical"]:
-        failures.append("merged shard report differs from the unsharded report")
+    if not report["resume_identical"]:
+        failures.append(
+            "rerun after a halfway stop re-executed finished trials or "
+            "differs from the cold report"
+        )
     fleet = report.get("fleet", {})
     if not fleet.get("skew_identical"):
         failures.append("fleet skew report differs from its serial (workers=1) run")

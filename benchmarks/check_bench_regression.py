@@ -25,8 +25,9 @@ The PR-7 suite-throughput report (``bench_suite_throughput.py`` writing
 ``warm_speedup`` (warm store-served rerun over cold execution) is a
 same-host ratio, so it is compared against an absolute floor
 (``--min-warm-speedup``) rather than a committed baseline, and the report's
-correctness booleans (byte-identical warm rows, zero warm misses, merged
-shards == unsharded) must all hold.
+correctness booleans (byte-identical warm rows, zero warm misses, and a run
+stopped halfway then rerun on the same store executing only the missing
+trials and reproducing the cold report) must all hold.
 
 The PR-10 ``fleet`` section of the same report (multi-process work-stealing
 executor on a skewed modeled-latency workload) is gated by
@@ -188,7 +189,11 @@ def check_suite(fresh: dict, min_warm_speedup: float) -> bool:
     ok = True
     for key, meaning in (
         ("rows_identical", "warm rerun reproduced the cold run's metric rows"),
-        ("merge_identical", "merged shard report equals the unsharded report"),
+        (
+            "resume_identical",
+            "a run stopped halfway and rerun on the same store executed only "
+            "the missing trials and reproduced the cold report",
+        ),
     ):
         if not fresh.get(key, False):
             print(f"FAIL [suite]: report says not {key} ({meaning})", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Fleet suite execution: multi-process work-stealing over leased task chunks.
 
-:func:`run_suite_fleet` replaces the static ``--shard k/N`` partition (where
-every worker owns a fixed round-robin slice and the run finishes at the pace
-of the unluckiest worker) with *dynamic leasing*: the coordinator chunks the
+:func:`run_suite_fleet` spreads one suite over N OS worker processes by
+*dynamic leasing* (rather than a fixed slice per worker, where the run would
+finish at the pace of the unluckiest worker): the coordinator chunks the
 suite's canonical ``(entry, trial)`` task list, writes a board file, and
 spawns N independent OS processes that race to claim chunks one at a time.
 A fast worker that drains its chunk simply claims another; a straggling chunk
@@ -28,11 +28,12 @@ content-addressed result store *before* the lease is updated, workers consult
 the store before executing a task, and a duplicated execution (a steal racing
 a slow-but-alive owner) writes byte-identical records resolved
 last-write-wins.  The store is therefore both the result channel and the
-resume checkpoint -- re-running a killed fleet skips everything that finished.
+resume mechanism -- re-running a killed fleet skips everything that finished,
+exactly as re-running :func:`~repro.scenarios.suite.run_suite` does.
 
 The merged :class:`~repro.scenarios.suite.SuiteReport` assembles through the
-same :func:`~repro.scenarios.suite._assemble_report` path as serial runs and
-shard merges, so its deterministic content
+same :func:`~repro.scenarios.suite._assemble_report` path as serial runs, so
+its deterministic content
 (:func:`~repro.scenarios.suite.deterministic_report_dict`) is byte-identical
 to ``run_suite``'s no matter which worker executed which task, how many died,
 or how work was stolen.
@@ -73,6 +74,7 @@ from repro.scenarios.suite import (
     SuiteSpec,
     _assemble_report,
     _flatten_tasks,
+    _stored_records,
     SuiteReport,
 )
 
@@ -490,17 +492,18 @@ def run_suite_fleet(
     a private temporary store), chunks the still-pending tasks, writes the
     lease board under ``<store>/suite/<fingerprint>/leases/``, forks the
     workers, and polls lease files for progress while they drain the board.
-    Every executed record lands in the store, which doubles as the crash-safe
-    checkpoint: rerunning after any failure skips all finished work.
+    Every executed record lands in the store before its lease is marked, so
+    rerunning after any failure skips all finished work.
 
     The report is assembled exactly like ``run_suite``'s -- compare with
     :func:`~repro.scenarios.suite.deterministic_report_dict` and they are
     byte-identical.  ``on_progress`` receives the same ``"plan"`` and
     ``"task"`` event shapes as ``run_suite`` (task events are emitted as the
     coordinator *observes* completions, so their order reflects completion,
-    not the canonical order).  ``should_stop`` cancels between observations:
-    workers get SIGTERM, completed records stay durable, and
-    :class:`~repro.scenarios.suite.SuiteCancelled` is raised.
+    not the canonical order).  ``should_stop`` is polled between
+    observations while tasks remain: workers get SIGTERM, completed records
+    stay durable, and :class:`~repro.scenarios.suite.SuiteCancelled` is
+    raised.
 
     ``prebuild`` computes scheduler-delta tables in the coordinator and
     preloads the process-wide cache *before* forking, so every worker
@@ -564,29 +567,12 @@ def _run_fleet(
     total = len(tasks)
 
     # Store prescan: warm records need no lease at all.
-    records: Dict[int, Dict[str, Any]] = {}
-    for index, (entry_index, trial_index) in enumerate(tasks):
-        hit = store.get(specs[entry_index], trial_index)
-        if hit is not None:
-            records[index] = hit
+    records = _stored_records(store, suite, tasks)
     pending = [index for index in range(total) if index not in records]
-    stats = {
-        "tasks": total,
-        "resumed": 0,
-        "hits": len(records),
-        "misses": len(pending),
-    }
+    stats = {"tasks": total, "hits": len(records), "misses": len(pending)}
     if on_progress is not None:
-        on_progress(
-            {
-                "event": "plan",
-                "tasks": total,
-                "resumed": 0,
-                "hits": stats["hits"],
-                "misses": stats["misses"],
-            }
-        )
-    if should_stop is not None and should_stop():
+        on_progress({"event": "plan", **stats})
+    if pending and should_stop is not None and should_stop():
         raise SuiteCancelled(
             f"cancelled before execution ({len(records)}/{total} tasks done)"
         )
@@ -658,7 +644,11 @@ def _run_fleet(
                                 "total": total,
                             }
                         )
-                if should_stop is not None and should_stop():
+                if (
+                    len(observed) < len(pending)
+                    and should_stop is not None
+                    and should_stop()
+                ):
                     cancelled = True
                     break
                 if not any(process.is_alive() for process in processes):

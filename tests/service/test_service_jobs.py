@@ -85,6 +85,30 @@ def test_submit_journals_before_ack(tmp_path):
     run_async(main())
 
 
+def test_finished_job_is_stored_once_with_no_checkpoint_file(tmp_path):
+    """Executed records go to the result store alone; the job's suite
+    directory ends up holding just the persisted report."""
+    payload = tiny_suite("store-only", entry_count=2, trials=2)  # 4 tasks
+
+    async def main():
+        manager = manager_for(tmp_path)
+        await manager.start()
+        job, _ = manager.submit(*parse_submission({"suite": payload}))
+        await drive(manager, job)
+        return manager, job
+
+    manager, job = run_async(main())
+    assert job.state == "done"
+    assert job.progress["misses"] == 4
+    suite = SuiteSpec.from_dict(payload)
+    assert all(
+        manager.store.get(entry.scenario, trial_index) is not None
+        for entry in suite.entries
+        for trial_index in range(entry.scenario.run.trials)
+    )
+    assert sorted(os.listdir(manager.suite_dir(job.fingerprint))) == ["report.json"]
+
+
 def test_recover_tolerates_torn_tail_and_compacts(tmp_path):
     suite, _ = parse_submission({"suite": tiny_suite("torn")})
     manager = manager_for(tmp_path)
@@ -146,7 +170,7 @@ def test_recover_drops_unreadable_suites_with_warning(tmp_path):
 # ----------------------------------------------------------------------
 # cancellation
 # ----------------------------------------------------------------------
-def test_cancel_running_job_keeps_checkpoint_for_resume(tmp_path):
+def test_cancel_running_job_keeps_finished_trials_for_resume(tmp_path):
     payload = tiny_suite("cancel-run", entry_count=3, trials=2)  # 6 tasks
 
     async def main():
@@ -173,7 +197,14 @@ def test_cancel_running_job_keeps_checkpoint_for_resume(tmp_path):
     if job.state == "done":  # the last task raced the cancel -- nothing to resume
         return
     assert job.state == "cancelled"
-    assert os.path.exists(manager.checkpoint_path(job.fingerprint))
+    # The finished trials are in the store -- the only resume state there is.
+    suite = SuiteSpec.from_dict(payload)
+    stored = sum(
+        manager.store.get(entry.scenario, trial_index) is not None
+        for entry in suite.entries
+        for trial_index in range(entry.scenario.run.trials)
+    )
+    assert 1 <= stored < 6
 
     async def resume():
         fresh = JobManager(store=manager.store, workers=1, backoff_s=0.01)
@@ -185,9 +216,9 @@ def test_cancel_running_job_keeps_checkpoint_for_resume(tmp_path):
 
     resumed = run_async(resume())
     assert resumed.state == "done"
-    # The cancelled prefix was resumed from checkpoint/store, not re-run.
-    assert resumed.progress["resumed"] + resumed.progress["hits"] >= 1
-    assert resumed.progress["misses"] < 6
+    # The cancelled prefix was served from the store, not re-run.
+    assert resumed.progress["hits"] == stored
+    assert resumed.progress["misses"] == 6 - stored
 
 
 def test_cancel_terminal_job_is_a_noop(tmp_path):

@@ -5,7 +5,7 @@ The headline invariants from the PR-10 issue:
 * the merged fleet report is **byte-identical** to ``run_suite``'s under
   :func:`deterministic_report_dict`, no matter how many workers ran, which
   worker executed which task, or how work was stolen;
-* the result store is the crash-safe checkpoint -- a warm rerun executes
+* the result store is the one resume mechanism -- a warm rerun executes
   nothing, and a fleet whose worker is SIGKILLed mid-task still converges to
   the clean serial report because survivors reclaim the expired lease;
 * the service integration (JobManager fleet dispatch + queue-depth
@@ -22,6 +22,7 @@ import asyncio
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.scenarios import (
     RunPolicy,
     ScenarioSpec,
     SchedulerSpec,
+    SuiteCancelled,
     SuiteEntry,
     SuiteSpec,
     TopologySpec,
@@ -121,7 +123,7 @@ def test_fleet_rejects_zero_workers():
 
 
 # ----------------------------------------------------------------------
-# the store as checkpoint
+# the store as the resume mechanism
 # ----------------------------------------------------------------------
 def test_fleet_warm_rerun_executes_nothing(tmp_path):
     suite = fleet_suite()
@@ -166,6 +168,58 @@ def test_fleet_resumes_from_partially_filled_store(tmp_path):
     assert sorted(p.name for p in executed_dir.iterdir()) == ["e1-0", "e1-1", "e1-2"]
 
 
+def test_fleet_stop_request_after_the_last_task_does_not_cancel(tmp_path):
+    suite = fleet_suite(entry_count=1, trials=2)
+    serial = det(run_suite(suite, jobs=1, prebuild=False))
+    task_events = []
+    report = run_suite_fleet(
+        suite,
+        workers=2,
+        store=str(tmp_path / "store"),
+        chunk_size=1,
+        on_progress=lambda e: task_events.append(e) if e["event"] == "task" else None,
+        should_stop=lambda: len(task_events) == 2,
+    )
+    assert len(task_events) == 2
+    assert det(report) == serial
+
+
+def test_fleet_cancel_then_serial_rerun_resumes_from_the_store(tmp_path):
+    """A cancelled fleet leaves its finished records in the store; a plain
+    serial rerun on that store executes only the rest."""
+    suite = fleet_suite(entry_count=2, trials=2)  # 4 tasks
+    store_dir = str(tmp_path / "store")
+    serial = det(run_suite(suite, jobs=1, prebuild=False))
+    executed_dir = tmp_path / "executed"
+    executed_dir.mkdir()
+
+    def first_task_only(spec, trial_index):
+        # The lone worker finishes one task, then parks until the stop
+        # request terminates it (bounded, so a broken stop cannot hang).
+        deadline = time.monotonic() + 60
+        while any(executed_dir.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (executed_dir / f"{spec.name}-{trial_index}").touch()
+        return default_task_runner(spec, trial_index)
+
+    task_events = []
+    with pytest.raises(SuiteCancelled, match="after 1/4 tasks"):
+        run_suite_fleet(
+            suite,
+            workers=1,
+            store=store_dir,
+            chunk_size=1,
+            task_runner=first_task_only,
+            on_progress=lambda e: task_events.append(e) if e["event"] == "task" else None,
+            should_stop=lambda: bool(task_events),
+        )
+    assert len(task_events) == 1
+
+    resumed = run_suite(suite, jobs=1, prebuild=False, store=store_dir)
+    assert resumed.store_stats == {"tasks": 4, "hits": 1, "misses": 3}
+    assert det(resumed) == serial
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -190,24 +244,6 @@ def test_cli_suite_fleet_matches_serial(tmp_path, capsys):
     assert "fleet      : 2 worker process(es)" in capsys.readouterr().out
     serial = det(run_suite(suite, jobs=1, prebuild=False))
     assert deterministic_report_dict(json.loads(out_path.read_text())) == serial
-
-
-def test_cli_fleet_excludes_shard_flags(tmp_path):
-    manifest = tmp_path / "fleet.json"
-    manifest.write_text(fleet_suite().to_json())
-    with pytest.raises(SystemExit, match="--fleet replaces"):
-        cli_main(
-            [
-                "suite",
-                str(manifest),
-                "--fleet",
-                "2",
-                "--store",
-                str(tmp_path / "store"),
-                "--shard",
-                "1/2",
-            ]
-        )
 
 
 # ----------------------------------------------------------------------

@@ -73,16 +73,12 @@ from repro.scenarios import (
     SchedulerSpec,
     SuiteCancelled,
     SuiteEntry,
-    SuiteShard,
     SuiteSpec,
     TopologySpec,
     deterministic_report_dict,
-    merge_reports,
-    parse_shard,
     run,
     run_suite,
-    run_suite_shard,
-    shard_tasks,
+    trial_key,
 )
 from repro.scenarios.cli import main as cli_main
 
@@ -281,73 +277,15 @@ def det(report) -> dict:
     return deterministic_report_dict(report.to_dict())
 
 
-class TestSharding:
-    def test_parse_shard(self):
-        assert parse_shard("2/4") == (2, 4)
-        assert parse_shard("1/1") == (1, 1)
-        for bad in ("0/2", "3/2", "2", "x/y", "1/0"):
-            with pytest.raises(ValueError):
-                parse_shard(bad)
-
-    def test_shard_tasks_partition_exactly(self):
-        indices = [shard_tasks(10, k, 3) for k in (1, 2, 3)]
-        assert sorted(i for part in indices for i in part) == list(range(10))
-        assert indices[0] == [0, 3, 6, 9]  # round-robin over canonical order
-        with pytest.raises(ValueError, match="out of range"):
-            shard_tasks(10, 4, 3)
-
-    def test_shard_merge_equals_unsharded(self):
-        suite = small_suite(trials=2)
-        full = run_suite(suite, jobs=1)
-        shards = [run_suite_shard(suite, k, 2, jobs=1) for k in (1, 2)]
-        merged = merge_reports(suite, shards)
-        assert det(merged) == det(full)
-        assert merged.store_stats["tasks"] == 4
-
-    def test_shard_save_load_round_trip(self, tmp_path):
-        suite = small_suite(trials=2)
-        shard = run_suite_shard(suite, 2, 2, jobs=1)
-        path = str(tmp_path / "shard-2-of-2.json")
-        shard.save(path)
-        assert SuiteShard.load(path) == shard
-
-    def test_merge_validates_the_shard_set(self, tmp_path):
-        suite = small_suite(trials=2)
-        shard1 = run_suite_shard(suite, 1, 2, jobs=1)
-        shard2 = run_suite_shard(suite, 2, 2, jobs=1)
-        with pytest.raises(ValueError, match="incomplete shard set"):
-            merge_reports(suite, [shard1])
-        with pytest.raises(ValueError, match="duplicate shard"):
-            merge_reports(suite, [shard1, shard1])
-        imposter = SuiteShard(
-            suite_fingerprint="0" * 16,
-            shard_index=2,
-            shard_count=2,
-            task_count=shard2.task_count,
-            records=shard2.records,
-        )
-        with pytest.raises(ValueError, match="was produced from"):
-            merge_reports(suite, [shard1, imposter])
-
-
 class TestSuiteStore:
     def test_warm_rerun_serves_every_task_from_the_store(self, tmp_path):
         suite = small_suite(trials=2)
         root = str(tmp_path / "store")
         cold = run_suite(suite, jobs=1, store=root)
-        assert cold.store_stats == {"tasks": 4, "resumed": 0, "hits": 0, "misses": 4}
+        assert cold.store_stats == {"tasks": 4, "hits": 0, "misses": 4}
         warm = run_suite(suite, jobs=1, store=root)
-        assert warm.store_stats == {"tasks": 4, "resumed": 0, "hits": 4, "misses": 0}
+        assert warm.store_stats == {"tasks": 4, "hits": 4, "misses": 0}
         assert det(warm) == det(cold)
-
-    def test_sharded_run_shares_the_store(self, tmp_path):
-        """Shard 2 re-runs nothing that shard 1 already stored -- and a
-        second pass over either shard is pure cache."""
-        suite = small_suite(trials=2)
-        root = str(tmp_path / "store")
-        run_suite_shard(suite, 1, 2, jobs=1, store=root)
-        again = run_suite_shard(suite, 1, 2, jobs=1, store=root)
-        assert again.stats == {"tasks": 2, "resumed": 0, "hits": 2, "misses": 0}
 
     def test_store_path_and_instance_are_equivalent(self, tmp_path):
         suite = small_suite()
@@ -358,62 +296,120 @@ class TestSuiteStore:
         assert warm.store_stats["misses"] == 0
 
 
-class TestCheckpointResume:
-    def _checkpoint_lines(self, suite, records, tasks=None):
-        header = {
-            "checkpoint": 1,
-            "suite": suite.fingerprint(),
-            "shard": [1, 1],
-            "tasks": 4,
-        }
-        lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-        for index in tasks if tasks is not None else sorted(records):
-            payload = {"task": index, "record": records[index]}
-            lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
-
-    def test_resume_trusts_the_checkpoint_and_finishes_the_rest(self, tmp_path):
-        suite = small_suite(trials=2)
-        full = run_suite(suite, jobs=1)
-        records = run_suite_shard(suite, 1, 1, jobs=1).records
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
-        with open(checkpoint, "w") as handle:  # as if killed after 2 of 4 tasks
-            handle.write(self._checkpoint_lines(suite, records, tasks=[0, 1]))
-        resumed = run_suite(suite, jobs=1, checkpoint=checkpoint, resume=True)
-        assert resumed.store_stats == {"tasks": 4, "resumed": 2, "hits": 0, "misses": 2}
-        assert det(resumed) == det(full)
-        assert not os.path.exists(checkpoint)  # deleted once the run completes
-
-    def test_resume_skips_a_torn_trailing_line(self, tmp_path):
-        suite = small_suite(trials=2)
-        records = run_suite_shard(suite, 1, 1, jobs=1).records
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
-        with open(checkpoint, "w") as handle:
-            handle.write(self._checkpoint_lines(suite, records, tasks=[0]))
-            handle.write('{"task": 1, "record"')  # the kill mid-append
-        with pytest.warns(RuntimeWarning, match="unreadable line"):
-            resumed = run_suite(suite, jobs=1, checkpoint=checkpoint, resume=True)
-        assert resumed.store_stats["resumed"] == 1
-        assert resumed.store_stats["misses"] == 3  # the torn task re-executed
-
-    def test_resume_rejects_a_foreign_checkpoint(self, tmp_path):
-        suite = small_suite(trials=2)
-        other = small_suite(trials=1)
-        records = run_suite_shard(other, 1, 1, jobs=1).records
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
-        header = {
-            "checkpoint": 1,
-            "suite": other.fingerprint(),
-            "shard": [1, 1],
-            "tasks": 2,
-        }
-        with open(checkpoint, "w") as handle:
-            handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            handle.write(
-                json.dumps({"task": 0, "record": records[0]}, sort_keys=True) + "\n"
+def derived_seed_suite(trials=2):
+    """``small_suite`` with per-trial seeds, so every task has its own key."""
+    suite = small_suite(trials=trials)
+    return SuiteSpec(
+        name=suite.name,
+        entries=tuple(
+            SuiteEntry(
+                id=entry.id,
+                scenario=entry.scenario.with_overrides({"run.seed_policy": "derived"}),
+                group=entry.group,
             )
-        with pytest.raises(ValueError, match="belongs to a different run"):
-            run_suite(suite, jobs=1, checkpoint=checkpoint, resume=True)
+            for entry in suite.entries
+        ),
+    )
+
+
+class TestStoreResume:
+    """Rerunning against the same store is the one way a suite resumes."""
+
+    @pytest.mark.parametrize("done_before_stop", [1, 3])
+    def test_cancel_then_rerun_executes_only_the_missing_trials(
+        self, tmp_path, done_before_stop
+    ):
+        suite = derived_seed_suite()  # 4 tasks
+        root = str(tmp_path / "store")
+        completed = []
+        with pytest.raises(SuiteCancelled, match="completed records are stored"):
+            run_suite(
+                suite,
+                store=root,
+                on_progress=lambda e: completed.append(e) if e["event"] == "task" else None,
+                should_stop=lambda: len(completed) >= done_before_stop,
+            )
+        assert len(completed) == done_before_stop
+
+        resumed = run_suite(suite, store=root)
+        assert resumed.store_stats == {
+            "tasks": 4,
+            "hits": done_before_stop,
+            "misses": 4 - done_before_stop,
+        }
+        assert det(resumed) == det(run_suite(suite))
+
+    @pytest.mark.parametrize("cancel_jobs, rerun_jobs", [(1, 2), (2, 1)])
+    def test_rerun_with_another_job_count_reuses_the_stored_trials(
+        self, tmp_path, cancel_jobs, rerun_jobs
+    ):
+        """Stored records are keyed by trial, not by the executor that made
+        them: a pooled run resumes a serial one and vice versa."""
+        suite = derived_seed_suite()  # 4 tasks
+        root = str(tmp_path / "store")
+        completed = []
+        with pytest.raises(SuiteCancelled, match="after 2/4 tasks"):
+            run_suite(
+                suite,
+                jobs=cancel_jobs,
+                store=root,
+                on_progress=lambda e: completed.append(e) if e["event"] == "task" else None,
+                should_stop=lambda: len(completed) >= 2,
+            )
+        resumed = run_suite(suite, jobs=rerun_jobs, store=root)
+        assert resumed.store_stats == {"tasks": 4, "hits": 2, "misses": 2}
+        assert det(resumed) == det(run_suite(suite, jobs=1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_torn_trailing_store_line_is_re_executed(self, tmp_path, jobs):
+        suite = derived_seed_suite()
+        root = tmp_path / "store"
+        clean = run_suite(suite, jobs=jobs, store=str(root))
+        # Tear the last record written (task 3) as a kill mid-append would:
+        # it is the final line of its bucket.
+        spec = suite.entries[-1].scenario
+        bucket = root / "objects" / f"{trial_key(spec, 1)[:2]}.jsonl"
+        lines = bucket.read_text().splitlines(keepends=True)
+        bucket.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+
+        with pytest.warns(RuntimeWarning, match="corrupted/truncated"):
+            resumed = run_suite(suite, jobs=jobs, store=str(root))
+        assert resumed.store_stats == {"tasks": 4, "hits": 3, "misses": 1}
+        assert det(resumed) == det(clean)
+
+    def test_stale_shard_and_checkpoint_files_are_inert(self, tmp_path):
+        """Files older versions left under ``suite/<fingerprint>/`` are never
+        read: a warm rerun still serves every trial from the store."""
+        suite = small_suite(trials=2)
+        root = tmp_path / "store"
+        cold = run_suite(suite, jobs=1, store=str(root))
+        run_dir = root / "suite" / suite.fingerprint()
+        run_dir.mkdir(parents=True)
+        (run_dir / "shard-0-of-2.json").write_text('{"not": "a shard"')
+        (run_dir / "shard-0-of-2.checkpoint.jsonl").write_text('{"torn"\n')
+        (run_dir / "service.checkpoint.jsonl").write_text("garbage\n")
+
+        warm = run_suite(suite, jobs=1, store=str(root))
+        assert warm.store_stats == {"tasks": 4, "hits": 4, "misses": 0}
+        assert det(warm) == det(cold)
+
+    @pytest.mark.parametrize("keyword", ["checkpoint", "resume"])
+    def test_run_suite_takes_no_checkpoint_arguments(self, tmp_path, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            run_suite(small_suite(), store=str(tmp_path / "store"), **{keyword: True})
+
+    @pytest.mark.parametrize(
+        "flags", [["--shard", "1/2"], ["--merge"], ["--resume"]], ids=["shard", "merge", "resume"]
+    )
+    def test_retired_resume_flags_are_rejected(self, tmp_path, capsys, flags):
+        manifest_path = str(tmp_path / "suite.json")
+        small_suite().save(manifest_path)
+        store_dir = str(tmp_path / "store")
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["suite", manifest_path, "--store", store_dir, *flags])
+        assert exit_info.value.code == 2  # argparse: unrecognized arguments
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not os.path.exists(store_dir)  # rejected before anything ran
 
 
 class TestProgressAndCancellation:
@@ -423,7 +419,7 @@ class TestProgressAndCancellation:
         suite = small_suite(trials=2)  # 4 tasks
         events = []
         run_suite(suite, on_progress=events.append)
-        assert events[0] == {"event": "plan", "tasks": 4, "resumed": 0, "hits": 0, "misses": 4}
+        assert events[0] == {"event": "plan", "tasks": 4, "hits": 0, "misses": 4}
         task_events = events[1:]
         assert [e["event"] for e in task_events] == ["task"] * 4
         assert [e["done"] for e in task_events] == [1, 2, 3, 4]
@@ -440,45 +436,27 @@ class TestProgressAndCancellation:
         events = []
         run_suite(suite, store=store, on_progress=events.append)
         assert events == [
-            {"event": "plan", "tasks": 2, "resumed": 0, "hits": 2, "misses": 0}
+            {"event": "plan", "tasks": 2, "hits": 2, "misses": 0}
         ]
 
-    def test_should_stop_cancels_and_leaves_the_checkpoint(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_stop_request_on_the_last_task_does_not_cancel(self, jobs):
+        """A stop that arrives as the final record lands leaves the run
+        finished: there is nothing left to stop."""
         suite = small_suite(trials=2)
-        checkpoint = str(tmp_path / "run.checkpoint.jsonl")
-        completed = []
-
-        def stop_after_first():
-            return len(completed) >= 1
-
-        with pytest.raises(SuiteCancelled, match="checkpointed"):
-            run_suite(
-                suite,
-                checkpoint=checkpoint,
-                resume=True,
-                on_progress=lambda e: completed.append(e) if e["event"] == "task" else None,
-                should_stop=stop_after_first,
-            )
-        assert len(completed) == 1
-        assert os.path.exists(checkpoint)  # cancellation preserves it
-
-        # A resumed run trusts the checkpointed prefix and matches a clean run.
-        resumed = run_suite(suite, checkpoint=checkpoint, resume=True)
-        assert resumed.store_stats["resumed"] == 1
-        assert resumed.store_stats["misses"] == 3
-        assert det(resumed) == det(run_suite(suite))
-        assert not os.path.exists(checkpoint)  # consumed by the completed run
+        task_events = []
+        report = run_suite(
+            suite,
+            jobs=jobs,
+            on_progress=lambda e: task_events.append(e) if e["event"] == "task" else None,
+            should_stop=lambda: bool(task_events) and task_events[-1]["done"] == 4,
+        )
+        assert len(task_events) == 4
+        assert det(report) == det(run_suite(suite))
 
     def test_should_stop_before_any_task(self):
         with pytest.raises(SuiteCancelled, match="cancelled before execution"):
             run_suite(small_suite(), should_stop=lambda: True)
-
-    def test_hooks_thread_through_shards(self):
-        suite = small_suite(trials=2)
-        events = []
-        run_suite_shard(suite, 1, 2, on_progress=events.append)
-        assert events[0]["event"] == "plan" and events[0]["tasks"] == 2
-        assert [e["done"] for e in events[1:]] == [1, 2]
 
 
 class TestSuiteCLI:
@@ -509,34 +487,6 @@ class TestSuiteCLI:
         assert cli_main(["list", "--kind", "metric"]) == 0
         out = capsys.readouterr().out
         assert "ack_delay" in out and "lb_spec" in out
-
-    def test_shard_flags_require_store(self, tmp_path):
-        manifest_path = str(tmp_path / "suite.json")
-        small_suite().save(manifest_path)
-        with pytest.raises(SystemExit, match="--store"):
-            cli_main(["suite", manifest_path, "--shard", "1/2"])
-
-    def test_cli_shard_merge_matches_unsharded(self, tmp_path, capsys):
-        """The full CLI workflow: two shard invocations over a shared store,
-        then --merge; the merged report's deterministic content equals an
-        unsharded run_suite."""
-        suite = small_suite(trials=2)
-        manifest_path = str(tmp_path / "suite.json")
-        suite.save(manifest_path)
-        store_dir = str(tmp_path / "store")
-        for shard in ("1/2", "2/2"):
-            assert cli_main(
-                ["suite", manifest_path, "--store", store_dir, "--shard", shard, "-q"]
-            ) == 0
-        json_path = str(tmp_path / "merged.json")
-        assert cli_main(
-            ["suite", manifest_path, "--store", store_dir, "--merge",
-             "--json", json_path, "-q"]
-        ) == 0
-        capsys.readouterr()
-        merged = json.loads(open(json_path).read())
-        expected = run_suite(suite, jobs=1)
-        assert deterministic_report_dict(merged) == det(expected)
 
     def test_cli_warm_rerun_reports_store_hits(self, tmp_path, capsys):
         manifest_path = str(tmp_path / "suite.json")
